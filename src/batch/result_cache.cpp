@@ -204,7 +204,10 @@ smc::KpiReport decode_report(const CacheKey& key, const std::string& text) {
   return r;
 }
 
-ResultCache::ResultCache(std::string directory) : directory_(std::move(directory)) {
+ResultCache::ResultCache(std::size_t memory_entries) : memory_entries_(memory_entries) {}
+
+ResultCache::ResultCache(std::string directory, std::size_t memory_entries)
+    : memory_entries_(memory_entries), directory_(std::move(directory)) {
   if (directory_.empty()) throw IoError("result cache needs a directory path");
   std::error_code ec;
   std::filesystem::create_directories(directory_, ec);
@@ -285,7 +288,8 @@ std::optional<smc::KpiReport> ResultCache::get(const CacheKey& key) {
   if (const auto it = memory_.find(id); it != memory_.end()) {
     ++stats_.hits;
     ++stats_.memory_hits;
-    return it->second;
+    recency_.splice(recency_.begin(), recency_, it->second.recency);
+    return it->second.report;
   }
   if (!directory_.empty()) {
     const std::string path = entry_path(key);
@@ -297,7 +301,7 @@ std::optional<smc::KpiReport> ResultCache::get(const CacheKey& key) {
       try {
         if (fault::fault_point("cache.read")) corrupt_payload(payload);
         smc::KpiReport report = decode_report(key, payload);
-        memory_.emplace(id, report);
+        remember(id, report);
         ++stats_.hits;
         ++stats_.disk_hits;
         return report;
@@ -312,17 +316,44 @@ std::optional<smc::KpiReport> ResultCache::get(const CacheKey& key) {
   return std::nullopt;
 }
 
+void ResultCache::remember(const std::string& id, const smc::KpiReport& report) {
+  const auto [it, inserted] = memory_.try_emplace(id);
+  it->second.report = report;
+  if (inserted) {
+    // Keys of an unordered_map stay put across rehashing, so the recency
+    // list can point at them.
+    it->second.recency = recency_.insert(recency_.begin(), &it->first);
+  } else {
+    recency_.splice(recency_.begin(), recency_, it->second.recency);
+  }
+  if (memory_entries_ != 0 && memory_.size() > memory_entries_) {
+    memory_.erase(memory_.find(*recency_.back()));
+    recency_.pop_back();
+  }
+}
+
 void ResultCache::put(const CacheKey& key, const smc::KpiReport& report) {
   if (report.truncated) return;  // a stop prefix is not the key's canonical result
-  std::lock_guard lock(mutex_);
-  memory_.insert_or_assign(key.id(), report);
-  if (directory_.empty()) return;
+  // Only the memory insert and the temp-name sequence number need the
+  // mutex; encoding and the disk write run unlocked, so concurrent get()s
+  // (a Session admitting requests) never wait behind a file write.
+  std::uint64_t sequence = 0;
+  {
+    std::lock_guard lock(mutex_);
+    remember(key.id(), report);
+    if (directory_.empty()) return;
+    sequence = ++tmp_sequence_;
+  }
+  const auto count = [this](std::uint64_t Stats::*field) {
+    std::lock_guard lock(mutex_);
+    ++(stats_.*field);
+  };
   // Write-then-rename so concurrent readers never observe a partial entry.
   // The temp name is process- and sequence-unique: two writers of the same
   // key never clobber each other's in-flight file.
   const std::string final_path = entry_path(key);
   const std::string tmp_path =
-      final_path + ".tmp." + process_tag() + "-" + std::to_string(++tmp_sequence_);
+      final_path + ".tmp." + process_tag() + "-" + std::to_string(sequence);
   std::string payload = encode_report(key, report);
   try {
     // "cache.write" in corrupt mode simulates silent media corruption: the
@@ -330,18 +361,18 @@ void ResultCache::put(const CacheKey& key, const smc::KpiReport& report) {
     // the next read. Error mode simulates a failed write syscall.
     if (fault::fault_point("cache.write")) corrupt_payload(payload);
   } catch (const fault::InjectedFault&) {
-    ++stats_.disk_failures;
+    count(&Stats::disk_failures);
     return;  // nothing was written yet
   }
   {
     std::ofstream out(tmp_path, std::ios::trunc);
     if (!out) {
-      ++stats_.disk_failures;
+      count(&Stats::disk_failures);
       return;
     }
     out << payload;
     if (!out.flush()) {
-      ++stats_.disk_failures;
+      count(&Stats::disk_failures);
       std::remove(tmp_path.c_str());
       return;
     }
@@ -349,16 +380,16 @@ void ResultCache::put(const CacheKey& key, const smc::KpiReport& report) {
   try {
     (void)fault::fault_point("cache.rename");
   } catch (const fault::InjectedFault&) {
-    ++stats_.disk_failures;
+    count(&Stats::disk_failures);
     std::remove(tmp_path.c_str());  // failed publish must not leak the temp
     return;
   }
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    ++stats_.disk_failures;
+    count(&Stats::disk_failures);
     std::remove(tmp_path.c_str());
     return;
   }
-  ++stats_.disk_writes;
+  count(&Stats::disk_writes);
 }
 
 ResultCache::Stats ResultCache::stats() const {

@@ -1,7 +1,11 @@
 // Content-addressed cache of analysis results.
 //
 // Two tiers:
-//  * memory — always on; a mutex-guarded map from CacheKey to KpiReport;
+//  * memory — always on; a mutex-guarded map from CacheKey to KpiReport.
+//    It keeps every entry unless the cache is built with a capacity; then
+//    it keeps that many most recently used entries (serve::Session bounds
+//    its own cache this way). An evicted entry is re-read from disk, or
+//    recomputed bit-identically when there is no disk tier;
 //  * disk   — optional; one JSON file per entry ("fmtree.result/v2") in a
 //    caller-chosen directory, so repeated CLI runs and separate processes
 //    share results.
@@ -42,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -56,14 +61,25 @@ namespace fmtree::batch {
 
 class ResultCache {
 public:
-  /// Memory-only cache.
+  /// Memory-only cache that keeps every entry, so a rerun of any plan in
+  /// the same process hits on every job.
   ResultCache() = default;
+
+  /// Memory-only cache whose memory tier keeps at most `memory_entries`
+  /// reports (about 0.7 KB each), the most recently used ones (get or put);
+  /// 0 keeps every entry. Eviction is LRU: a rerun of a plan with more jobs
+  /// than the capacity hits on only the `memory_entries` reports stored
+  /// last, and jobs looked up one at a time in the order they were stored
+  /// all miss, because each put evicts the entry read next.
+  explicit ResultCache(std::size_t memory_entries);
 
   /// Memory + disk tiers. The directory is created if missing; an
   /// uncreatable directory throws IoError immediately (failing at first use
   /// would silently disable the tier the caller asked for). Runs the
   /// crash-recovery scan (stale temp-file cleanup) before returning.
-  explicit ResultCache(std::string directory);
+  /// `memory_entries` bounds the memory tier as above; an entry evicted
+  /// from it is read back from disk.
+  explicit ResultCache(std::string directory, std::size_t memory_entries = 0);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -75,7 +91,8 @@ public:
 
   /// Stores a report under `key` in every tier. Truncated reports are
   /// ignored (see file comment). Disk write failures are recorded in
-  /// stats() and otherwise ignored.
+  /// stats() and otherwise ignored. The disk write runs outside the cache
+  /// mutex, so get() of entries already in memory never waits behind it.
   void put(const CacheKey& key, const smc::KpiReport& report);
 
   /// Cumulative counters since construction. hits == memory_hits + disk_hits.
@@ -110,8 +127,18 @@ private:
   void recovery_scan();                                         // ctor only
   void quarantine_entry(const std::string& path, const std::string& why);
 
+  /// Caller holds mutex_: stores `report` as the most recently used entry,
+  /// evicting the least recently used one beyond the capacity.
+  void remember(const std::string& id, const smc::KpiReport& report);
+
+  struct Entry {
+    smc::KpiReport report;
+    std::list<const std::string*>::iterator recency;
+  };
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, smc::KpiReport> memory_;
+  std::unordered_map<std::string, Entry> memory_;
+  std::list<const std::string*> recency_;  ///< memory_ keys, most recent first
+  std::size_t memory_entries_ = 0;          ///< capacity; 0 = unbounded
   std::string directory_;
   Stats stats_;
   std::vector<Diagnostic> warnings_;

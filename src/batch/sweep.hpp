@@ -1,11 +1,13 @@
-// Batch execution of analysis sweeps over one shared work-stealing pool.
+// Batch execution of analysis sweeps on the shared trajectory pool.
 //
 // A SweepPlan is a set of (model, settings) jobs — typically the same system
 // under many policy variants (the paper's cost-curve sweep). run_sweep()
-// schedules *trajectory chunks* of all jobs over one pool, so small jobs no
-// longer idle most threads the way per-job ParallelRunner calls do, and
-// consults an optional ResultCache so previously computed jobs cost one
-// model hash instead of a simulation.
+// consults an optional ResultCache, so previously computed jobs cost one
+// model hash instead of a simulation, and runs the misses on a one-shot
+// TrajectoryPool (batch/pool.hpp) with the calling thread as finisher: the
+// trajectory chunks of all jobs share one set of workers, so small jobs no
+// longer idle most threads the way per-job ParallelRunner calls do, and each
+// job is aggregated and cached as soon as its last chunk finishes.
 //
 // Determinism contract (the same one smc::analyze keeps): trajectory i of a
 // job draws from RandomStream(settings.seed, i) regardless of which worker
@@ -13,15 +15,12 @@
 // are integer sums (exactly commutative), and aggregation runs sequentially
 // in index order via smc::aggregate_kpis. A job's report is therefore
 // bit-identical to smc::analyze on the same model and settings, at any
-// thread count, chunk size, and cache state.
-//
-// Two job classes fall back to a plain smc::analyze call (still executed,
-// still cached, just not chunk-scheduled): adaptive-stopping jobs
-// (target_relative_error > 0), whose trajectory count is decided by a
-// sequential CI feedback loop, and — trivially — jobs on models the pooled
-// path cannot split. Job-level RunSettings::control and ::telemetry are
-// ignored: interruption and instrumentation of a sweep are plan-level
-// concerns (SweepPlan::control, run_sweep's telemetry argument).
+// thread count, chunk size, and cache state. Adaptive-stopping jobs
+// (target_relative_error > 0) run as rounds of `batch` trajectories inside
+// the pool and stop exactly where smc::analyze's sequential loop stops.
+// Job-level RunSettings::control and ::telemetry are ignored: interruption
+// and instrumentation of a sweep are plan-level concerns
+// (SweepPlan::control, run_sweep's telemetry argument).
 //
 // Self-healing (DESIGN.md, "Failure semantics"): a job that throws mid-run —
 // an injected I/O error, a resource cap, a NaN-poisoned aggregate — becomes a
@@ -53,21 +52,13 @@ struct SweepJob {
   std::string label;  ///< e.g. the policy name; used in results and spans
   fmt::FaultMaintenanceTree model;
   smc::AnalysisSettings settings;
-  /// Optional per-job cancellation, distinct from the plan-level
-  /// SweepPlan::control: a stop observed here parks *this* job as
-  /// JobResult::cancelled while the rest of the plan keeps running (the
-  /// serve layer fires it when every caller of a deduplicated request has
-  /// hung up). A cancel that lands after the job's last trajectory completed
-  /// is too late by design — the job aggregates and caches normally.
-  /// Analyze-fallback jobs (adaptive stopping, retries) only observe it at
-  /// attempt boundaries.
-  const smc::RunControl* cancel = nullptr;
 };
 
 struct SweepPlan {
   std::vector<SweepJob> jobs;
-  /// Trajectories per scheduled task. Smaller chunks balance better across
-  /// jobs of uneven size; the result is identical for any value.
+  /// Trajectories per scheduled chunk (an adaptive round is cut into one
+  /// chunk per worker, at most this large). Smaller chunks balance better
+  /// across jobs of uneven size; the result is identical for any value.
   std::uint64_t chunk = 2048;
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 0;
@@ -111,9 +102,10 @@ struct JobResult {
   JobFailure failure;
   /// Retry attempts spent on this job (0 when the first attempt succeeded).
   std::uint32_t retries = 0;
-  /// True when SweepJob::cancel stopped the job before it completed.
-  /// Cancelled jobs are neither failures nor plan truncation: completed,
-  /// failed and cancelled are mutually exclusive.
+  /// True when TrajectoryPool::cancel stopped the job before it completed
+  /// (a one-shot run_sweep never cancels single jobs). Cancelled jobs are
+  /// neither failures nor plan truncation: completed, failed and cancelled
+  /// are mutually exclusive.
   bool cancelled = false;
   smc::KpiReport report;
 };
@@ -125,13 +117,11 @@ struct SweepOutcome {
   std::uint64_t trajectories_simulated = 0;
   /// True when the plan stopped (control or watchdog) before every job
   /// finished. Permanently *failed* jobs do not set this — they are
-  /// accounted in jobs_failed instead — and neither do per-job *cancelled*
-  /// jobs (jobs_cancelled).
+  /// accounted in jobs_failed instead.
   bool truncated = false;
   smc::StopReason stop_reason = smc::StopReason::None;
-  std::uint64_t jobs_failed = 0;     ///< jobs with a permanent failure record
-  std::uint64_t jobs_cancelled = 0;  ///< jobs stopped by SweepJob::cancel
-  std::uint64_t retries = 0;         ///< retry attempts across all jobs
+  std::uint64_t jobs_failed = 0;  ///< jobs with a permanent failure record
+  std::uint64_t retries = 0;      ///< retry attempts across all jobs
   /// Cache-integrity warnings (C101/C102) drained from the cache plus the
   /// watchdog's stall diagnostic (B102) when it fired.
   std::vector<Diagnostic> warnings;
@@ -139,11 +129,12 @@ struct SweepOutcome {
 
 /// Executes the plan. `cache` may be null (no caching); `telemetry` may be
 /// empty. Emits batch.* counters (jobs, jobs_simulated — jobs that produced
-/// a fresh report rather than a cache hit — tasks, steals, trajectories,
-/// cache hits/misses), the robustness counters (sweep.retries,
-/// sweep.job_failures, cache.corrupt_entries, fault.injected), per-task
-/// tracer spans named after the job labels plus "retry:<label>" spans, and
-/// "sweep"-phase progress over the total trajectory count.
+/// a fresh report rather than a cache hit — tasks, steals (always 0: one
+/// ready list), trajectories, cache hits/misses), the robustness counters
+/// (sweep.retries, sweep.job_failures, cache.corrupt_entries,
+/// fault.injected), per-chunk tracer spans named after the job labels plus
+/// "retry:<label>" spans, and "sweep"-phase progress over the scheduled
+/// trajectory count.
 SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache = nullptr,
                        const obs::Telemetry& telemetry = {});
 

@@ -208,7 +208,7 @@ public:
       const maintenance::MaintenancePolicy& base, double lo, double hi,
       int iterations = 16);
 
-  /// Runs an explicit batch plan through the shared work-stealing pool with
+  /// Runs an explicit batch plan through the shared trajectory pool with
   /// this session's cache and telemetry. The plan's threads (when 0) and
   /// control (when null) default to this session's settings; its jobs carry
   /// their own models and settings, so they need not match the session's.
@@ -238,8 +238,8 @@ private:
   std::unique_ptr<obs::ProgressReporter> progress_;
   std::unique_ptr<batch::ResultCache> cache_;
   /// The embedded analysis service backing submit(). Created lazily (it owns
-  /// a dispatcher thread); declared last so it drains before the cache and
-  /// sinks it borrows are destroyed.
+  /// a trajectory pool and its finisher thread); declared last so it drains
+  /// before the cache and sinks it borrows are destroyed.
   std::unique_ptr<serve::Session> service_;
 };
 

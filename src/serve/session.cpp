@@ -1,7 +1,5 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "smc/kpi.hpp"
 
@@ -10,14 +8,14 @@ namespace fmtree::serve {
 namespace detail {
 
 /// One deduplicated unit of work. Shared (shared_ptr) between every ticket
-/// watching it, the pending queue and the in-flight index; all fields except
-/// `cancel` are guarded by the session mutex.
+/// watching it, the in-flight index and the pool's callback (which keeps
+/// `job`, borrowed by the pool, alive until the job resolves); all fields
+/// are guarded by the session mutex.
 struct JobEntry {
-  batch::SweepJob job;  ///< job.cancel points at `cancel` below
-  smc::RunControl cancel;
+  batch::SweepJob job;
   std::string key_id;
+  std::uint64_t pool_id = 0;
   int priority = 0;
-  std::uint64_t seq = 0;
   int interested = 0;  ///< watchers; the last one to leave cancels the job
   bool done = false;
   JobOutcome outcome;
@@ -50,7 +48,7 @@ using detail::ServeMetrics;
 
 namespace {
 
-JobOutcome outcome_from(const batch::JobResult& r) {
+JobOutcome outcome_from(batch::JobResult r) {
   JobOutcome o;
   o.label = r.label;
   o.key = r.key;
@@ -58,7 +56,7 @@ JobOutcome outcome_from(const batch::JobResult& r) {
   o.retries = r.retries;
   if (r.completed) {
     o.state = JobState::Done;
-    o.report = r.report;
+    o.report = std::move(r.report);
   } else if (r.failed) {
     o.state = JobState::Failed;
     o.failure = r.failure;
@@ -177,8 +175,9 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
     cache_ = config_.cache;
   } else {
     owned_cache_ = config_.cache_dir.empty()
-                       ? std::make_unique<batch::ResultCache>()
-                       : std::make_unique<batch::ResultCache>(config_.cache_dir);
+                       ? std::make_unique<batch::ResultCache>(kCacheMemoryEntries)
+                       : std::make_unique<batch::ResultCache>(config_.cache_dir,
+                                                              kCacheMemoryEntries);
     cache_ = owned_cache_.get();
   }
   serve_metrics_ = std::make_unique<ServeMetrics>(
@@ -196,7 +195,17 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
           config_.telemetry.progress->update(p);
       },
       /*min_interval_seconds=*/0.2);
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  obs::Telemetry telemetry = config_.telemetry;
+  telemetry.progress = progress_reporter_.get();
+  pool_ = std::make_unique<batch::TrajectoryPool>(batch::PoolOptions{
+      .threads = config_.threads,
+      .chunk = config_.chunk,
+      .max_retries = config_.max_retries,
+      .stall_timeout_s = config_.stall_timeout_s,
+      .control = &drain_control_,
+      .cache = cache_,
+      .telemetry = telemetry});
+  finisher_ = std::thread([this] { pool_->finish(/*until_idle=*/false); });
 }
 
 Session::~Session() { drain(); }
@@ -266,7 +275,6 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
   ticket.id_ = std::move(id);
   ticket.entries_.reserve(jobs.size());
   std::map<std::string, std::shared_ptr<JobEntry>> created;
-  bool queued_any = false;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const std::string key_id = keys[i].id();
     if (kinds[i] == Kind::Hit) {
@@ -287,29 +295,34 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
       std::shared_ptr<JobEntry> entry =
           it != inflight_.end() ? it->second : created.at(key_id);
       ++entry->interested;
-      entry->priority = std::max(entry->priority, priority);
+      if (priority > entry->priority) {
+        entry->priority = priority;
+        pool_->raise_priority(entry->pool_id, priority);
+      }
       ticket.entries_.push_back(std::move(entry));
       if (ids.valid) metrics->add(ids.dedup_hits);
       continue;
     }
     auto entry = std::make_shared<JobEntry>();
     entry->job = std::move(jobs[i]);
-    entry->job.cancel = &entry->cancel;
     entry->key_id = key_id;
     entry->priority = priority;
-    entry->seq = next_seq_++;
     entry->interested = 1;
     entry->outcome.label = entry->job.label;
     entry->outcome.key = keys[i];
+    // The key minted above travels with the job: the pool neither hashes
+    // the model again nor looks it up in the cache.
+    entry->pool_id = pool_->submit(
+        entry->job, keys[i], priority,
+        [this, entry](batch::JobResult result, smc::StopReason reason) {
+          resolve(*entry, std::move(result), reason);
+        });
     inflight_.emplace(key_id, entry);
     created.emplace(key_id, entry);
-    pending_.push_back(entry);
     ++outstanding_;
-    queued_any = true;
     if (ids.valid) metrics->add(ids.jobs);
     ticket.entries_.push_back(std::move(entry));
   }
-  if (queued_any) work_cv_.notify_one();
   return ticket;
 }
 
@@ -320,70 +333,33 @@ void Session::release_interest(
   for (const auto& entry : entries) {
     if (entry->done) continue;
     if (--entry->interested > 0) continue;
-    // Last watcher gone: fire the per-job cancel. A job still waiting in
-    // pending_ resolves immediately (its queue slot frees up now); a running
-    // one parks at the next trajectory boundary and resolves after the plan.
-    entry->cancel.request_stop();
+    // Last watcher gone: a queued job resolves at once, a running one at
+    // the next trajectory boundary; its queue slot frees when it resolves.
+    // It leaves the in-flight map now, so a new request for the same key
+    // starts a fresh job instead of attaching to the cancelled one.
+    erase_inflight(*entry);
+    pool_->cancel(entry->pool_id);
     if (ids.valid) config_.telemetry.metrics->add(ids.cancelled);
-    const auto it = std::find(pending_.begin(), pending_.end(), entry);
-    if (it != pending_.end()) {
-      pending_.erase(it);
-      entry->done = true;
-      entry->outcome.state = JobState::Cancelled;
-      inflight_.erase(entry->key_id);
-      --outstanding_;
-    }
   }
   done_cv_.notify_all();
 }
 
-void Session::resolve_entry_locked(JobEntry& entry, JobOutcome outcome) {
+void Session::resolve(JobEntry& entry, batch::JobResult result,
+                      smc::StopReason reason) {
+  std::vector<Diagnostic> warnings = pool_->take_warnings();
+  std::lock_guard lock(mutex_);
+  for (Diagnostic& d : warnings) warnings_.push_back(std::move(d));
+  if (reason != smc::StopReason::None) last_stop_reason_ = reason;
   entry.done = true;
-  entry.outcome = std::move(outcome);
-  inflight_.erase(entry.key_id);
+  entry.outcome = outcome_from(std::move(result));
+  erase_inflight(entry);
   --outstanding_;
+  done_cv_.notify_all();
 }
 
-void Session::dispatcher_loop() {
-  for (;;) {
-    std::vector<std::shared_ptr<JobEntry>> cycle;
-    {
-      std::unique_lock lock(mutex_);
-      work_cv_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
-      if (stopping_) return;  // drain() resolves whatever is still pending
-      cycle = std::move(pending_);
-      pending_.clear();
-      // Priority order: highest first, FIFO within a priority. The sort is
-      // scheduling-only — results are bit-identical in any order.
-      std::stable_sort(cycle.begin(), cycle.end(),
-                       [](const auto& a, const auto& b) {
-                         return a->priority != b->priority
-                                    ? a->priority > b->priority
-                                    : a->seq < b->seq;
-                       });
-    }
-    batch::SweepPlan plan;
-    plan.threads = config_.threads;
-    plan.chunk = config_.chunk;
-    plan.max_retries = config_.max_retries;
-    plan.stall_timeout_s = config_.stall_timeout_s;
-    plan.control = &drain_control_;
-    plan.jobs.reserve(cycle.size());
-    for (const auto& entry : cycle) plan.jobs.push_back(entry->job);
-
-    obs::Telemetry telemetry = config_.telemetry;
-    telemetry.progress = progress_reporter_.get();
-    const batch::SweepOutcome outcome =
-        batch::run_sweep(plan, cache_, telemetry);
-
-    std::lock_guard lock(mutex_);
-    for (const Diagnostic& d : outcome.warnings) warnings_.push_back(d);
-    if (outcome.stop_reason != smc::StopReason::None)
-      last_stop_reason_ = outcome.stop_reason;
-    for (std::size_t i = 0; i < cycle.size(); ++i)
-      resolve_entry_locked(*cycle[i], outcome_from(outcome.results[i]));
-    done_cv_.notify_all();
-  }
+void Session::erase_inflight(const JobEntry& entry) {
+  const auto it = inflight_.find(entry.key_id);
+  if (it != inflight_.end() && it->second.get() == &entry) inflight_.erase(it);
 }
 
 void Session::drain() {
@@ -391,21 +367,12 @@ void Session::drain() {
     std::lock_guard lock(mutex_);
     if (stopping_) return;
     stopping_ = true;
-    drain_control_.request_stop();
-    // Unclaimed jobs resolve now; the dispatcher's in-flight plan stops at
-    // the next trajectory boundary and resolves its own entries.
-    if (!pending_.empty()) last_stop_reason_ = smc::StopReason::Interrupted;
-    for (const auto& entry : pending_) {
-      entry->done = true;
-      entry->outcome.state = JobState::Interrupted;
-      inflight_.erase(entry->key_id);
-      --outstanding_;
-    }
-    pending_.clear();
-    work_cv_.notify_all();
-    done_cv_.notify_all();
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
+  // Every job still in the pool stops at the next trajectory boundary and
+  // resolves through the finisher, which returns once none is left.
+  drain_control_.request_stop();
+  pool_->close(smc::StopReason::Interrupted);
+  if (finisher_.joinable()) finisher_.join();
 }
 
 }  // namespace fmtree::serve

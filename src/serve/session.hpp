@@ -1,8 +1,11 @@
 // serve::Session — the analysis service, usable in-process or behind the
 // `fmtree serve` socket daemon (serve/server.hpp). One Session owns one
-// ResultCache and one dispatcher that drains submitted jobs through the
-// shared work-stealing pool (batch::run_sweep), so many concurrent callers
-// share one hot cache and one saturated trajectory pool.
+// ResultCache and one long-lived batch::TrajectoryPool, so many concurrent
+// callers share one hot cache and one set of trajectory workers. Admitted
+// jobs go straight into the pool's ready list; the Session's finisher thread
+// aggregates each job as soon as its last chunk finishes, writes the cache
+// and resolves the job's tickets — a short request never waits for a long
+// one submitted before it.
 //
 // Submission semantics, in resolution order per job:
 //   1. cache hit   — resolved immediately, no queue slot consumed;
@@ -15,15 +18,19 @@
 //     request is rejected with AdmissionError (R120) and *nothing* of it is
 //     enqueued (all-or-nothing, so a half-admitted sweep cannot deadlock a
 //     client);
-//   4. enqueued    — the dispatcher picks jobs up in (priority desc,
-//     submission order asc) batches and runs them as one SweepPlan.
+//   4. enqueued    — the job enters the pool under the key minted at
+//     admission; workers claim its chunks in (priority desc, submission
+//     order asc) order.
 //
 // Cancellation: Ticket::cancel() detaches one caller; when the last watcher
-// of a job detaches, the job's per-job RunControl (SweepJob::cancel) fires
-// and the pool abandons it at the next trajectory boundary. drain() — the
-// SIGTERM path — stops the dispatcher, cancels everything still pending,
-// and resolves all tickets; completed jobs keep their cached results, so a
-// restarted daemon replays them bit-identically.
+// of a job detaches, the pool cancels the job: a queued job resolves at
+// once, a running one at the next trajectory boundary, and its queue slot
+// frees when it resolves. The cancelled job leaves the in-flight set at
+// once, so a new request for the same key starts a fresh job rather than
+// attaching to the cancelled one. drain() — the SIGTERM path — closes the pool,
+// which interrupts everything still pending and resolves all tickets;
+// completed jobs keep their cached results, so a restarted daemon replays
+// them bit-identically.
 //
 // Bitwise contract: a job's report is bit-identical to standalone
 // smc::analyze / `fmtree sweep` for the same model and settings — the
@@ -39,8 +46,8 @@
 #include <thread>
 #include <vector>
 
+#include "batch/pool.hpp"
 #include "batch/result_cache.hpp"
-#include "batch/sweep.hpp"
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/request.hpp"
@@ -57,9 +64,10 @@ struct SessionConfig {
   double stall_timeout_s = 0.0;       ///< SweepPlan::stall_timeout_s
   std::uint64_t chunk = 2048;         ///< SweepPlan::chunk
   /// Borrowed cache (e.g. fmtree::Analysis sharing its own); nullptr = the
-  /// Session owns one built from cache_dir.
+  /// Session owns one built from cache_dir, whose memory tier keeps the
+  /// Session::kCacheMemoryEntries most recently used reports.
   batch::ResultCache* cache = nullptr;
-  /// Server-owned sinks. serve.* counters are registered here; run_sweep
+  /// Server-owned sinks. serve.* counters are registered here; the pool
   /// adds its batch.* counters. Progress flows through the Session's own
   /// snapshot (progress()) *and* any reporter installed here.
   obs::Telemetry telemetry;
@@ -154,9 +162,15 @@ public:
   Ticket submit_jobs(std::vector<batch::SweepJob> jobs, int priority = 0,
                      std::string id = {});
 
-  /// Stops accepting work, cancels pending jobs, resolves every ticket and
-  /// joins the dispatcher. Idempotent; the destructor calls it.
+  /// Stops accepting work, interrupts pending jobs, resolves every ticket
+  /// and joins the finisher. Idempotent; the destructor calls it.
   void drain();
+
+  /// Memory-tier capacity of the cache a Session owns, so a long-running
+  /// daemon's memory stays bounded however many distinct requests it
+  /// serves. An evicted report is re-read from the disk tier when there is
+  /// one, and recomputed bit-identically when there is not.
+  static constexpr std::size_t kCacheMemoryEntries = 2048;
 
   /// The service cache (owned or borrowed per SessionConfig::cache).
   batch::ResultCache& cache() noexcept { return *cache_; }
@@ -174,9 +188,13 @@ public:
 private:
   friend class Ticket;
 
-  void dispatcher_loop();
-  void resolve_entry_locked(detail::JobEntry& entry, JobOutcome outcome);
+  /// The pool's callback for one job, on the finisher thread.
+  void resolve(detail::JobEntry& entry, batch::JobResult result,
+               smc::StopReason reason);
   void release_interest(const std::vector<std::shared_ptr<detail::JobEntry>>& entries);
+  /// Caller holds mutex_: removes `entry` from inflight_ if it is still
+  /// the job registered under its key.
+  void erase_inflight(const detail::JobEntry& entry);
 
   SessionConfig config_;
   std::unique_ptr<batch::ResultCache> owned_cache_;
@@ -184,22 +202,24 @@ private:
   std::unique_ptr<detail::ServeMetrics> serve_metrics_;  ///< counter ids
 
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;   ///< wakes the dispatcher
   std::condition_variable done_cv_;   ///< wakes waiting tickets
-  std::vector<std::shared_ptr<detail::JobEntry>> pending_;
+  /// Unresolved jobs that still have a watcher, by key id (dedup target).
   std::map<std::string, std::shared_ptr<detail::JobEntry>> inflight_;
   std::size_t outstanding_ = 0;  ///< queued + running (admission accounting)
-  std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   std::vector<Diagnostic> warnings_;  ///< drained into responses
   smc::StopReason last_stop_reason_ = smc::StopReason::None;
 
-  smc::RunControl drain_control_;
-  std::thread dispatcher_;
+  smc::RunControl drain_control_;  ///< also interrupts retries in flight
 
   mutable std::mutex progress_mutex_;
   ProgressSnapshot progress_snapshot_;
   std::unique_ptr<obs::ProgressReporter> progress_reporter_;
+
+  /// Declared last: destroyed (workers joined) before the cache and the
+  /// progress reporter it uses.
+  std::unique_ptr<batch::TrajectoryPool> pool_;
+  std::thread finisher_;
 };
 
 }  // namespace fmtree::serve

@@ -19,6 +19,24 @@ void validate_settings(const AnalysisSettings& s) {
     throw DomainError("confidence must lie in (0,1)");
 }
 
+sim::SimOptions sim_options(const AnalysisSettings& s, double horizon,
+                            bool record_failure_log) {
+  sim::SimOptions opts;
+  static_cast<RunSettings&>(opts) = s;  // horizon overridden below
+  opts.horizon = horizon;
+  opts.discount_rate = s.discount_rate;
+  opts.record_failure_log = record_failure_log;
+  opts.failure_log_cap = s.failure_log_cap;
+  return opts;
+}
+
+AdaptiveCheck adaptive_check(const RunningStats& failures, const AnalysisSettings& s) {
+  const bool have_ci = failures.count() >= 2 && failures.mean() > 0;
+  if (!have_ci) return {};
+  const double half = normal_quantile(0.5 + s.confidence / 2.0) * failures.std_error();
+  return {half / failures.mean(), half <= s.target_relative_error * failures.mean()};
+}
+
 namespace {
 
 /// Runs trajectories (optionally in sequential batches until the relative
@@ -41,12 +59,7 @@ BatchResult collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettin
   const sim::FmtSimulator simulator(transformed ? *transformed : model);
   build_span.close();
   const ParallelRunner runner(simulator, s.threads);
-  sim::SimOptions opts;
-  static_cast<RunSettings&>(opts) = s;  // horizon overridden below
-  opts.horizon = horizon;
-  opts.discount_rate = s.discount_rate;
-  opts.record_failure_log = record_failure_log;
-  opts.failure_log_cap = s.failure_log_cap;
+  sim::SimOptions opts = sim_options(s, horizon, record_failure_log);
   if (bound) opts.bound_policy = &*bound;
   obs::MetricsRegistry* metrics = s.telemetry.metrics;
   const obs::CounterId batches_counter =
@@ -62,7 +75,6 @@ BatchResult collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettin
   all.failures_per_leaf.assign(model.num_ebes(), 0);
   all.repairs_per_leaf.assign(model.num_ebes(), 0);
   RunningStats failures;
-  const double z = normal_quantile(0.5 + s.confidence / 2.0);
   while (all.summaries.size() < s.trajectories) {
     const std::uint64_t todo =
         std::min<std::uint64_t>(s.batch, s.trajectories - all.summaries.size());
@@ -87,8 +99,7 @@ BatchResult collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettin
       all.stop_reason = batch.stop_reason;
       break;
     }
-    const bool have_ci = failures.count() >= 2 && failures.mean() > 0;
-    const double half = have_ci ? z * failures.std_error() : 0.0;
+    const AdaptiveCheck check = adaptive_check(failures, s);
     // The CI-trend snapshot after every adaptive batch: how tight the
     // estimate is versus the requested target, alongside raw throughput.
     if (obs::ProgressReporter* progress = s.telemetry.progress) {
@@ -96,11 +107,11 @@ BatchResult collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettin
       p.phase = "simulate";
       p.done = all.summaries.size();
       p.total = s.trajectories;
-      p.ci_half_width = have_ci ? half / failures.mean() : -1.0;
+      p.ci_half_width = check.relative_half_width;
       p.ci_target = s.target_relative_error;
       progress->update(p);
     }
-    if (have_ci && half <= s.target_relative_error * failures.mean()) break;
+    if (check.converged) break;
   }
   all.completed = all.summaries.size();
   return all;
@@ -122,17 +133,22 @@ std::vector<double> linspace_grid(double horizon, std::size_t n) {
 }
 
 KpiReport aggregate_kpis(const BatchResult& batch, const AnalysisSettings& settings) {
-  if (batch.summaries.empty())
+  return aggregate_kpis(batch.summaries, batch, settings);
+}
+
+KpiReport aggregate_kpis(std::span<const TrajectorySummary> summaries,
+                         const BatchResult& batch, const AnalysisSettings& settings) {
+  if (summaries.empty())
     throw ResourceLimitError(
         "run stopped (" + std::string(stop_reason_name(batch.stop_reason)) +
             ") before any trajectory completed",
         {});
-  const auto n = static_cast<double>(batch.summaries.size());
+  const auto n = static_cast<double>(summaries.size());
   auto aggregate_span = obs::maybe_span(settings.telemetry.tracer, "aggregate");
 
   KpiReport report;
   report.horizon = settings.horizon;
-  report.trajectories = batch.summaries.size();
+  report.trajectories = summaries.size();
   report.truncated = batch.truncated;
   report.stop_reason = batch.stop_reason;
 
@@ -140,7 +156,7 @@ KpiReport aggregate_kpis(const BatchResult& batch, const AnalysisSettings& setti
   RunningStats inspections, repairs, replacements;
   fmt::CostBreakdown cost_sum;
   std::uint64_t survived = 0;
-  for (const TrajectorySummary& t : batch.summaries) {
+  for (const TrajectorySummary& t : summaries) {
     failures.add(static_cast<double>(t.failures));
     availability.add(1.0 - t.downtime / settings.horizon);
     total_cost.add(t.cost.total());
@@ -153,7 +169,7 @@ KpiReport aggregate_kpis(const BatchResult& batch, const AnalysisSettings& setti
   }
 
   report.reliability =
-      wilson_interval(survived, batch.summaries.size(), settings.confidence);
+      wilson_interval(survived, summaries.size(), settings.confidence);
   report.expected_failures = failures.mean_ci(settings.confidence);
   report.failures_per_year = scale(report.expected_failures, 1.0 / settings.horizon);
   report.availability = availability.mean_ci(settings.confidence);

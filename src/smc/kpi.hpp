@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fmt/fmtree.hpp"
@@ -38,6 +39,26 @@ struct AnalysisSettings : RunSettings {
   /// sim::SimOptions::failure_log_cap for the truncation contract.
   std::uint64_t failure_log_cap = std::uint64_t{1} << 24;
 };
+
+/// The simulator options an analysis with `settings` runs over `horizon`
+/// (bound_policy left unset). smc::analyze and the batch trajectory pool
+/// both build their options here, so both draw the same events per
+/// trajectory stream.
+sim::SimOptions sim_options(const AnalysisSettings& settings, double horizon,
+                            bool record_failure_log = false);
+
+/// The adaptive stopping rule (target_relative_error > 0), applied after
+/// each round of `batch` trajectories to the failure counts folded so far.
+struct AdaptiveCheck {
+  /// CI half-width of E[#failures] relative to its mean; -1 while no CI
+  /// exists (fewer than two trajectories or no failure yet).
+  double relative_half_width = -1.0;
+  bool converged = false;  ///< the half-width meets the target
+};
+/// smc::analyze and the batch trajectory pool both stop on this check, so a
+/// pooled adaptive job stops after exactly the same round.
+AdaptiveCheck adaptive_check(const RunningStats& failures,
+                             const AnalysisSettings& settings);
 
 /// Everything the case study reports, from one set of trajectories.
 struct KpiReport {
@@ -84,6 +105,11 @@ void validate_settings(const AnalysisSettings& settings);
 /// (batch sweeps) reuse this to stay bit-identical with analyze(). Throws
 /// ResourceLimitError when `batch` holds no completed trajectory.
 KpiReport aggregate_kpis(const BatchResult& batch, const AnalysisSettings& settings);
+
+/// The same over summaries kept outside `batch` (the trajectory pool's
+/// storage); `batch` supplies the per-leaf totals and the stop state.
+KpiReport aggregate_kpis(std::span<const TrajectorySummary> summaries,
+                         const BatchResult& batch, const AnalysisSettings& settings);
 
 /// One point of an estimated curve.
 struct CurvePoint {
