@@ -7,30 +7,15 @@
 #include <new>
 #include <optional>
 
-#include "lang/runtime.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
-#include "sim/batch_executor.hpp"
-#include "sim/fmt_executor.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/rng.hpp"
 
 namespace fmtree::batch {
 
 namespace {
-
-void store_summary(smc::TrajectorySummary& s, const sim::TrajectoryResult& r) {
-  s.first_failure_time = r.first_failure_time;
-  s.failures = static_cast<std::uint32_t>(r.failures);
-  s.downtime = r.downtime;
-  s.cost = r.cost;
-  s.discounted_total = r.discounted_cost.total();
-  s.inspections = static_cast<std::uint32_t>(r.inspections);
-  s.repairs = static_cast<std::uint32_t>(r.repairs);
-  s.replacements = static_cast<std::uint32_t>(r.replacements);
-}
 
 /// Maps a caught exception to its failure record. The transient classes
 /// (retry-eligible) are I/O and injected faults — external conditions a
@@ -88,17 +73,11 @@ struct TrajectoryPool::Job {
   JobResult result;
   bool adaptive = false;
 
-  // Built by the first worker that claims the job. Scripted-policy jobs
-  // simulate the apply_policy transform of the model (owned here so the
-  // simulator/executor pointers stay stable); the cache key is still minted
-  // from the untransformed model + the policy fingerprint in the settings.
-  std::optional<fmt::FaultMaintenanceTree> transformed;
-  std::optional<lang::BoundPolicy> bound;
-  std::unique_ptr<sim::FmtSimulator> simulator;
-  /// Non-null when the job's resolved engine is Engine::Batch; chunks then
-  /// run lane batches through it instead of the scalar simulator.
-  std::unique_ptr<sim::BatchExecutor> batch_executor;
-  sim::SimOptions opts;
+  // Built by the first worker that claims the job. A scripted-policy job's
+  // kernel simulates the apply_policy transform of the model; the cache key
+  // is still minted from the untransformed model + the policy fingerprint in
+  // the settings.
+  std::optional<smc::TrajectoryKernel> kernel;
   /// One slot per trajectory up to the job's cap; chunks write disjoint
   /// slots. Read back for indices below `completed` only.
   std::unique_ptr<smc::TrajectorySummary[], FreeDeleter> summaries;
@@ -161,10 +140,9 @@ struct TrajectoryPool::Metrics {
 
 /// What one worker keeps across chunks.
 struct TrajectoryPool::WorkerState {
-  sim::SimWorkspace ws;
-  sim::BatchWorkspace bws;
+  smc::TrajectoryKernel::Workspace ws;
   obs::LocalMetrics local;
-  std::vector<std::uint64_t> leaf_failures, leaf_repairs;
+  smc::LeafTotals leaves;  ///< of the last chunk
   std::uint64_t polls = 0;
 };
 
@@ -318,22 +296,11 @@ void TrajectoryPool::close_locked(smc::StopReason reason) {
 std::optional<JobFailure> TrajectoryPool::build(Job& job) {
   const SweepJob& spec = *job.spec;
   try {
-    const fmt::FaultMaintenanceTree* sim_model = &spec.model;
-    if (spec.settings.policy) {
-      job.transformed.emplace(lang::apply_policy(*spec.settings.policy, spec.model));
-      sim_model = &*job.transformed;
-    }
-    job.simulator = std::make_unique<sim::FmtSimulator>(*sim_model);
-    if (resolve_engine(spec.settings.engine) == Engine::Batch)
-      job.batch_executor = std::make_unique<sim::BatchExecutor>(*sim_model);
-    job.opts = smc::sim_options(spec.settings, spec.settings.horizon);
-    if (spec.settings.policy) {
-      job.bound.emplace(lang::bind_policy(*spec.settings.policy, *sim_model));
-      job.opts.bound_policy = &*job.bound;
-    }
+    job.kernel.emplace(spec.model,
+                       smc::sim_options(spec.settings, spec.settings.horizon));
     job.summaries = summary_slots(spec.settings.trajectories);
-    job.batch.failures_per_leaf.assign(spec.model.num_ebes(), 0);
-    job.batch.repairs_per_leaf.assign(spec.model.num_ebes(), 0);
+    job.batch.failures_per_leaf.assign(job.kernel->num_leaves(), 0);
+    job.batch.repairs_per_leaf.assign(job.kernel->num_leaves(), 0);
     start_round(job, 0);
   } catch (const std::exception& e) {
     // Model/policy rejected at construction (e.g. a script naming a
@@ -350,7 +317,7 @@ void TrajectoryPool::start_round(Job& job, std::uint64_t first) {
   if (job.adaptive) {
     // smc::analyze's adaptive loop: rounds of `batch` trajectories up to the
     // `trajectories` cap, here cut into one chunk per worker.
-    end = first + std::min(std::max<std::uint64_t>(s.batch, 1), s.trajectories - first);
+    end = first + std::min(s.batch, s.trajectories - first);
     job.chunk = std::min(options_.chunk, (end - first + width_ - 1) / width_);
   }
   job.round_first = first;
@@ -448,9 +415,9 @@ void TrajectoryPool::worker_loop(unsigned w) {
     } else {
       // Integer totals commute, so fold order cannot affect the result.
       job.completed += ran;
-      for (std::size_t leaf = 0; leaf < state.leaf_failures.size(); ++leaf) {
-        job.batch.failures_per_leaf[leaf] += state.leaf_failures[leaf];
-        job.batch.repairs_per_leaf[leaf] += state.leaf_repairs[leaf];
+      for (std::size_t leaf = 0; leaf < state.leaves.failures.size(); ++leaf) {
+        job.batch.failures_per_leaf[leaf] += state.leaves.failures[leaf];
+        job.batch.repairs_per_leaf[leaf] += state.leaves.repairs[leaf];
       }
       if (ran < count) unqueue_locked(job);  // stopped or cancelled mid-chunk
     }
@@ -469,13 +436,9 @@ std::uint64_t TrajectoryPool::run_chunk(Job& job, std::uint64_t first,
   // (isolated into a per-job failure record + retry), stall mode parks this
   // worker to exercise the watchdog.
   (void)fault::fault_point("sweep.task");
-  const std::uint64_t seed = job.spec->settings.seed;
-  const std::size_t num_leaves = job.batch.failures_per_leaf.size();
-  state.leaf_failures.assign(num_leaves, 0);
-  state.leaf_repairs.assign(num_leaves, 0);
+  state.leaves.reset(job.kernel->num_leaves());
   Heartbeat& heartbeat = heartbeats_[w];
   obs::ProgressReporter* progress = options_.telemetry.progress;
-  const bool metrics = metrics_->registry != nullptr;
 
   const auto should_stop = [&]() {
     if (job.halted() || job.cancel_requested()) return true;
@@ -484,19 +447,13 @@ std::uint64_t TrajectoryPool::run_chunk(Job& job, std::uint64_t first,
         options_.control->should_stop(done_.load(std::memory_order_relaxed));
     return control_stop != smc::StopReason::None;
   };
-  const auto record = [&](const sim::TrajectoryResult& r, std::uint64_t index) {
-    store_summary(job.summaries[index], r);
-    for (std::size_t leaf = 0; leaf < num_leaves; ++leaf) {
-      state.leaf_failures[leaf] += r.failures_per_leaf[leaf];
-      state.leaf_repairs[leaf] += r.repairs_per_leaf[leaf];
+  const auto on_unit = [&](std::uint64_t, std::span<sim::TrajectoryResult> results) {
+    if (metrics_->registry != nullptr) {
+      state.local.add(metrics_->trajectories, results.size());
+      for (const sim::TrajectoryResult& r : results)
+        state.local.add(metrics_->events, r.events);
     }
-    if (metrics) {
-      state.local.add(metrics_->trajectories);
-      state.local.add(metrics_->events, r.events);
-    }
-  };
-  const auto advance = [&](std::uint64_t n) {
-    done_.fetch_add(n, std::memory_order_relaxed);
+    done_.fetch_add(results.size(), std::memory_order_relaxed);
     heartbeat.beats.fetch_add(1, std::memory_order_relaxed);
     if (progress != nullptr && (++state.polls & 31u) == 0 && progress->due()) {
       obs::Progress p;
@@ -506,33 +463,8 @@ std::uint64_t TrajectoryPool::run_chunk(Job& job, std::uint64_t first,
       progress->update(p);
     }
   };
-
-  std::uint64_t ran = 0;
-  if (job.batch_executor != nullptr) {
-    // Batch engine: slice the chunk into lane batches. Trajectory identity
-    // lives in the counter-based streams, so the slicing (like the chunking
-    // above it) cannot affect any result bit.
-    const std::uint64_t width = job.opts.lane_width != 0
-                                    ? job.opts.lane_width
-                                    : sim::BatchExecutor::kDefaultLaneWidth;
-    while (ran < count && !should_stop()) {
-      const auto n = static_cast<std::uint32_t>(std::min(width, count - ran));
-      job.batch_executor->run(seed, first + ran, n, job.opts, state.bws);
-      for (std::uint32_t lane = 0; lane < n; ++lane)
-        record(state.bws.results[lane], first + ran + lane);
-      ran += n;
-      advance(n);
-    }
-  } else {
-    while (ran < count && !should_stop()) {
-      const std::uint64_t index = first + ran;
-      record(job.simulator->run(RandomStream(seed, index), job.opts, state.ws),
-             index);
-      ++ran;
-      advance(1);
-    }
-  }
-  return ran;
+  return job.kernel->run(job.spec->settings.seed, first, count, state.ws,
+                         &job.summaries[first], state.leaves, should_stop, on_unit);
 }
 
 void TrajectoryPool::finish(bool until_idle) {

@@ -11,8 +11,9 @@
 // scheduling state, which is cheap because a default chunk (2048
 // trajectories) is milliseconds of work.
 //
-// A job is built (policy transform, simulator, summaries) by the worker that
-// claims it first, outside any lock, and freed when it resolves. When a job's
+// A job is built (its smc::TrajectoryKernel and summary slots) by the worker
+// that claims it first, outside any lock, and freed when it resolves; every
+// chunk runs through that kernel. When a job's
 // last chunk finishes it moves to the finisher: the single thread that calls
 // finish(). The finisher aggregates in index order (smc::aggregate_kpis),
 // writes the cache, heals failed jobs through smc::analyze with bounded

@@ -5,9 +5,11 @@
 // consults an optional ResultCache, so previously computed jobs cost one
 // model hash instead of a simulation, and runs the misses on a one-shot
 // TrajectoryPool (batch/pool.hpp) with the calling thread as finisher: the
-// trajectory chunks of all jobs share one set of workers, so small jobs no
-// longer idle most threads the way per-job ParallelRunner calls do, and each
-// job is aggregated and cached as soon as its last chunk finishes.
+// trajectory chunks of all jobs share one set of workers, so a small job
+// keeps all of them busy alongside the others instead of running alone, and
+// each job is aggregated and cached as soon as its last chunk finishes. Each
+// chunk runs through the job's smc::TrajectoryKernel, the same kernel
+// smc::analyze runs.
 //
 // Determinism contract (the same one smc::analyze keeps): trajectory i of a
 // job draws from RandomStream(settings.seed, i) regardless of which worker

@@ -84,7 +84,7 @@ struct TrajectoryResult {
 };
 
 /// Per-run simulator options. Embeds fmtree::RunSettings: the simulator
-/// itself honors `horizon` and (through ParallelRunner) `telemetry`; the
+/// itself honors `horizon` and (through smc::run_parallel) `telemetry`; the
 /// inherited seed/threads/control fields are consumed by batch drivers, not
 /// by the single-trajectory executor — stream identity always comes from
 /// the RandomStream handed to run().
@@ -94,7 +94,7 @@ struct SimOptions : fmtree::RunSettings {
   SimOptions() noexcept { horizon = 1.0; }
 
   bool record_failure_log = false;
-  /// Cap on the total number of FailureRecord entries a ParallelRunner batch
+  /// Cap on the total number of FailureRecord entries an smc::run_parallel batch
   /// retains across all trajectories when record_failure_log is set.
   /// Trajectory logs that would exceed the cap are dropped whole and the
   /// batch is flagged failure_logs_truncated; per-trajectory statistics are

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "smc/runner.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::smc {
@@ -12,23 +11,30 @@ namespace fmtree::smc {
 PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
                                 const fmt::FaultMaintenanceTree& b,
                                 const AnalysisSettings& settings) {
-  if (!(settings.horizon > 0)) throw DomainError("horizon must be positive");
-  if (settings.trajectories == 0) throw DomainError("need at least one trajectory");
-  const sim::FmtSimulator sim_a(a);
-  const sim::FmtSimulator sim_b(b);
-  const ParallelRunner runner_a(sim_a, settings.threads);
-  const ParallelRunner runner_b(sim_b, settings.threads);
-  sim::SimOptions opts;
-  opts.horizon = settings.horizon;
+  validate_settings(settings);
+  const sim::SimOptions opts = sim_options(settings, settings.horizon);
+  const TrajectoryKernel kernel_a(a, opts);
+  const TrajectoryKernel kernel_b(b, opts);
 
   // Same (seed, stream) per index: trajectory i of both variants experiences
   // the same random draws in the same order as long as their executions
-  // agree, which is what cancels shared noise.
-  const BatchResult ra = runner_a.run(settings.seed, 0, settings.trajectories, opts);
-  const BatchResult rb = runner_b.run(settings.seed, 0, settings.trajectories, opts);
+  // agree, which is what cancels shared noise. B runs over A's delivered
+  // prefix, so a stop leaves both on the same streams.
+  const BatchResult ra = run_parallel(kernel_a, settings.threads, settings.seed, 0,
+                                      settings.trajectories, settings.control);
+  const BatchResult rb = run_parallel(kernel_b, settings.threads, settings.seed, 0,
+                                      ra.completed, settings.control);
+  const std::size_t n = rb.summaries.size();
+  if (n == 0)
+    throw ResourceLimitError(
+        "comparison stopped (" +
+            std::string(stop_reason_name(rb.truncated ? rb.stop_reason
+                                                      : ra.stop_reason)) +
+            ") before any trajectory pair completed",
+        {});
 
   RunningStats failures, cost, downtime;
-  for (std::size_t i = 0; i < ra.summaries.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     failures.add(static_cast<double>(ra.summaries[i].failures) -
                  static_cast<double>(rb.summaries[i].failures));
     cost.add(ra.summaries[i].cost.total() - rb.summaries[i].cost.total());
@@ -38,21 +44,18 @@ PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
   out.failures_diff = failures.mean_ci(settings.confidence);
   out.cost_diff = cost.mean_ci(settings.confidence);
   out.downtime_diff = downtime.mean_ci(settings.confidence);
-  out.trajectories = ra.summaries.size();
+  out.trajectories = n;
   return out;
 }
 
 std::vector<double> failure_time_quantiles(const fmt::FaultMaintenanceTree& model,
                                            const std::vector<double>& probabilities,
                                            const AnalysisSettings& settings) {
+  validate_settings(settings);
   if (probabilities.empty()) throw DomainError("need at least one probability");
   for (double p : probabilities)
     if (!(p >= 0 && p <= 1)) throw DomainError("quantile probability outside [0,1]");
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, settings.threads);
-  sim::SimOptions opts;
-  opts.horizon = settings.horizon;
-  const BatchResult batch = runner.run(settings.seed, 0, settings.trajectories, opts);
+  const BatchResult batch = collect(model, settings, settings.horizon);
 
   std::vector<double> times;
   times.reserve(batch.summaries.size());

@@ -30,13 +30,18 @@ struct PairedComparison {
 };
 
 /// Runs both models on identical random streams and returns paired
-/// difference CIs (A minus B).
+/// difference CIs (A minus B) over settings.trajectories pairs. The
+/// settings' engine, scripted policy, discount rate, RunControl and
+/// telemetry apply to both runs; target_relative_error does not. A stop
+/// pairs the delivered prefix (`trajectories` says how many) and throws
+/// ResourceLimitError when no pair completed.
 PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
                                 const fmt::FaultMaintenanceTree& b,
                                 const AnalysisSettings& settings);
 
-/// Quantiles of the time-to-first-failure distribution. A requested quantile
-/// that falls beyond the observed horizon (because too many trajectories
+/// Quantiles of the time-to-first-failure distribution, from the
+/// trajectories smc::collect runs for `settings`. A requested quantile that
+/// falls beyond the observed horizon (because too many trajectories
 /// survive) is reported as +infinity.
 std::vector<double> failure_time_quantiles(const fmt::FaultMaintenanceTree& model,
                                            const std::vector<double>& probabilities,

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
-#include "lang/runtime.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
@@ -17,6 +15,9 @@ void validate_settings(const AnalysisSettings& s) {
   if (s.trajectories == 0) throw DomainError("need at least one trajectory");
   if (!(s.confidence > 0 && s.confidence < 1))
     throw DomainError("confidence must lie in (0,1)");
+  if (!(s.discount_rate >= 0)) throw DomainError("discount rate must be >= 0");
+  if (s.target_relative_error > 0 && s.batch == 0)
+    throw DomainError("adaptive runs need a positive batch size");
 }
 
 sim::SimOptions sim_options(const AnalysisSettings& s, double horizon,
@@ -39,28 +40,25 @@ AdaptiveCheck adaptive_check(const RunningStats& failures, const AnalysisSetting
 
 namespace {
 
-/// Runs trajectories (optionally in sequential batches until the relative
-/// error target on E[#failures] is met) and returns index-ordered summaries
-/// plus integer per-leaf totals. With `record_failure_log`, per-trajectory
-/// failure logs ride along in BatchResult::failure_logs.
+void require_completed(std::uint64_t completed, StopReason reason) {
+  if (completed == 0)
+    throw ResourceLimitError(
+        "run stopped (" + std::string(stop_reason_name(reason)) +
+            ") before any trajectory completed",
+        {});
+}
+
+ConfidenceInterval scale(const ConfidenceInterval& ci, double factor) {
+  return {ci.point * factor, ci.lo * factor, ci.hi * factor, ci.confidence};
+}
+
+}  // namespace
+
 BatchResult collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettings& s,
-                    double horizon, bool record_failure_log = false) {
+                    double horizon, bool record_failure_log) {
   auto build_span = obs::maybe_span(s.telemetry.tracer, "build");
-  // Scripted policy: simulate the apply_policy transform of the model (its
-  // calendars as inspection modules) and hand both engines the bound policy.
-  // The transform and binding live here — the single funnel every analysis
-  // entry point (KPIs, curves, MTTF) and both engines run through.
-  std::optional<fmt::FaultMaintenanceTree> transformed;
-  std::optional<lang::BoundPolicy> bound;
-  if (s.policy) {
-    transformed.emplace(lang::apply_policy(*s.policy, model));
-    bound.emplace(lang::bind_policy(*s.policy, *transformed));
-  }
-  const sim::FmtSimulator simulator(transformed ? *transformed : model);
+  const TrajectoryKernel kernel(model, sim_options(s, horizon, record_failure_log));
   build_span.close();
-  const ParallelRunner runner(simulator, s.threads);
-  sim::SimOptions opts = sim_options(s, horizon, record_failure_log);
-  if (bound) opts.bound_policy = &*bound;
   obs::MetricsRegistry* metrics = s.telemetry.metrics;
   const obs::CounterId batches_counter =
       metrics != nullptr ? metrics->counter("smc.batches") : obs::CounterId{};
@@ -68,17 +66,21 @@ BatchResult collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettin
 
   if (s.target_relative_error <= 0) {
     if (metrics != nullptr) metrics->add(batches_counter);
-    return runner.run(s.seed, 0, s.trajectories, opts, s.control);
+    BatchResult all =
+        run_parallel(kernel, s.threads, s.seed, 0, s.trajectories, s.control);
+    require_completed(all.completed, all.stop_reason);
+    return all;
   }
 
   BatchResult all;
-  all.failures_per_leaf.assign(model.num_ebes(), 0);
-  all.repairs_per_leaf.assign(model.num_ebes(), 0);
+  all.failures_per_leaf.assign(kernel.num_leaves(), 0);
+  all.repairs_per_leaf.assign(kernel.num_leaves(), 0);
   RunningStats failures;
   while (all.summaries.size() < s.trajectories) {
     const std::uint64_t todo =
         std::min<std::uint64_t>(s.batch, s.trajectories - all.summaries.size());
-    BatchResult batch = runner.run(s.seed, all.summaries.size(), todo, opts, s.control);
+    BatchResult batch =
+        run_parallel(kernel, s.threads, s.seed, all.summaries.size(), todo, s.control);
     if (metrics != nullptr) metrics->add(batches_counter);
     for (const TrajectorySummary& t : batch.summaries)
       failures.add(static_cast<double>(t.failures));
@@ -114,14 +116,9 @@ BatchResult collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettin
     if (check.converged) break;
   }
   all.completed = all.summaries.size();
+  require_completed(all.completed, all.stop_reason);
   return all;
 }
-
-ConfidenceInterval scale(const ConfidenceInterval& ci, double factor) {
-  return {ci.point * factor, ci.lo * factor, ci.hi * factor, ci.confidence};
-}
-
-}  // namespace
 
 std::vector<double> linspace_grid(double horizon, std::size_t n) {
   if (!(horizon > 0) || n == 0) throw DomainError("bad linspace_grid arguments");
@@ -138,11 +135,7 @@ KpiReport aggregate_kpis(const BatchResult& batch, const AnalysisSettings& setti
 
 KpiReport aggregate_kpis(std::span<const TrajectorySummary> summaries,
                          const BatchResult& batch, const AnalysisSettings& settings) {
-  if (summaries.empty())
-    throw ResourceLimitError(
-        "run stopped (" + std::string(stop_reason_name(batch.stop_reason)) +
-            ") before any trajectory completed",
-        {});
+  require_completed(summaries.size(), batch.stop_reason);
   const auto n = static_cast<double>(summaries.size());
   auto aggregate_span = obs::maybe_span(settings.telemetry.tracer, "aggregate");
 
@@ -237,7 +230,7 @@ std::vector<CurvePoint> expected_failures_curve(const fmt::FaultMaintenanceTree&
   if (!(horizon > 0)) throw DomainError("grid needs a positive maximum");
 
   // Needs per-failure timestamps, so collect with the failure log enabled
-  // and bucket counts per grid point. Runs through ParallelRunner under the
+  // and bucket counts per grid point. Runs through collect() under the
   // full settings contract (threads, batch, target_relative_error), like
   // analyze(); bucketing iterates trajectories in index order, so the
   // statistics are bit-identical at any thread count.

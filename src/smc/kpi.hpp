@@ -41,9 +41,9 @@ struct AnalysisSettings : RunSettings {
 };
 
 /// The simulator options an analysis with `settings` runs over `horizon`
-/// (bound_policy left unset). smc::analyze and the batch trajectory pool
-/// both build their options here, so both draw the same events per
-/// trajectory stream.
+/// (bound_policy left unset: a TrajectoryKernel binds settings.policy).
+/// smc::collect and the batch trajectory pool both build their options
+/// here, so both draw the same events per trajectory stream.
 sim::SimOptions sim_options(const AnalysisSettings& settings, double horizon,
                             bool record_failure_log = false);
 
@@ -94,9 +94,25 @@ KpiReport analyze(const fmt::FaultMaintenanceTree& model,
                   const AnalysisSettings& settings);
 
 /// Rejects nonsensical settings (non-positive horizon, zero trajectories,
-/// confidence outside (0,1)) with DomainError. analyze() calls this; other
-/// executors (the batch sweep engine) share the same contract.
+/// confidence outside (0,1), a negative or NaN discount rate, an adaptive
+/// target with batch == 0) with DomainError, before any worker starts.
+/// Every analysis entry point calls this; other executors (the batch sweep
+/// engine) share the same contract.
 void validate_settings(const AnalysisSettings& settings);
+
+/// Runs the trajectories an analysis with `settings` asks for over
+/// `horizon`: `trajectories` of them, or rounds of `batch` until the
+/// relative-error target on E[#failures] is met. One TrajectoryKernel built
+/// from sim_options(settings) runs them on settings.threads workers, so the
+/// engine, scripted policy, discount rate, RunControl and telemetry of the
+/// settings all apply. Returns index-ordered summaries plus per-leaf totals;
+/// with `record_failure_log`, per-trajectory failure logs ride along. Every
+/// analysis entry point (KPIs, curves, MTTF, quantiles) runs through here.
+/// Does not validate `settings`; throws ResourceLimitError when a stop left
+/// no completed trajectory.
+BatchResult collect(const fmt::FaultMaintenanceTree& model,
+                    const AnalysisSettings& settings, double horizon,
+                    bool record_failure_log = false);
 
 /// Aggregates index-ordered trajectory summaries into the full KPI report.
 /// The loop visits summaries strictly in trajectory-index order, so the

@@ -2,10 +2,11 @@
 //
 // A RunControl is a small, thread-safe handle shared between the party that
 // wants to stop a run (a SIGINT handler, a watchdog, an adaptive driver) and
-// the workers executing it. Workers poll should_stop() between trajectories;
-// none of the mechanisms preempt a trajectory mid-flight, so stopping is
-// always at a trajectory boundary and results over the completed prefix stay
-// exact (see ParallelRunner for the truncation contract).
+// the workers executing it. Workers poll should_stop() before each unit of
+// work they take (a trajectory, or a lane block on the batch engine); none of
+// the mechanisms preempt a unit mid-flight, so every unit taken completes and
+// results over the delivered prefix stay exact (see smc::run_parallel in
+// runner.hpp for the truncation contract).
 //
 // Three independent stop conditions, first one to fire wins:
 //   - request_stop(): externally signalled (async-signal-safe, lock-free);
@@ -81,8 +82,9 @@ public:
   }
 
   /// Cooperative poll: the first stop condition that holds, or None.
-  /// `completed` is the number of trajectories finished so far (used by the
-  /// budget check).
+  /// `completed` is the number of trajectories the run has finished or
+  /// already taken on (used by the budget check); smc::run_parallel passes
+  /// the trajectories claimed so far, every one of which completes.
   StopReason should_stop(std::uint64_t completed) const noexcept {
     if (stop_requested()) return StopReason::Interrupted;
     const auto deadline = deadline_ns_.load(std::memory_order_acquire);

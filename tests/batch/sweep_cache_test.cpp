@@ -77,6 +77,15 @@ TEST(SweepEngine, RejectsBadPlansAndSettings) {
   EXPECT_THROW(run_sweep(bad_settings), DomainError);
 }
 
+TEST(SweepEngine, RejectsAdaptiveJobWithZeroBatch) {
+  // smc::analyze rejects these settings, so a pooled job must too: rounds of
+  // zero trajectories could never reach the target.
+  SweepPlan plan = small_plan();
+  plan.jobs[0].settings.target_relative_error = 0.1;
+  plan.jobs[0].settings.batch = 0;
+  EXPECT_THROW(run_sweep(plan), DomainError);
+}
+
 TEST(SweepEngine, AdaptiveJobsFallBackButStayExactAndCached) {
   SweepPlan plan;
   SweepJob job;

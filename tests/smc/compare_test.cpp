@@ -71,6 +71,53 @@ TEST(CompareModels, Validation) {
   s.horizon = 1;
   s.trajectories = 0;
   EXPECT_THROW(compare_models(model, model, s), DomainError);
+  s = quick(100);
+  s.confidence = 1.5;
+  EXPECT_THROW(compare_models(model, model, s), DomainError);
+  s = quick(100);
+  s.discount_rate = -0.1;
+  s.threads = 4;
+  EXPECT_THROW(compare_models(model, model, s), DomainError);
+}
+
+TEST(CompareModels, HonoursTheEngineSetting) {
+  // An explicit batch-engine comparison runs the batch kernel: it differs
+  // from the scalar one, and its paired mean is the difference of two batch
+  // analyses over the same streams.
+  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
+  const FaultMaintenanceTree a = factory(eijoint::inspections_per_year(1));
+  const FaultMaintenanceTree b = factory(eijoint::current_policy());
+  AnalysisSettings s = quick(3000);
+  s.threads = 2;
+  s.engine = Engine::Scalar;
+  const PairedComparison scalar = compare_models(a, b, s);
+  s.engine = Engine::Batch;
+  const PairedComparison batch = compare_models(a, b, s);
+  EXPECT_NE(batch.failures_diff.point, scalar.failures_diff.point);
+  EXPECT_NE(batch.cost_diff.point, scalar.cost_diff.point);
+
+  const KpiReport ka = analyze(a, s);
+  const KpiReport kb = analyze(b, s);
+  EXPECT_NEAR(batch.failures_diff.point,
+              ka.expected_failures.point - kb.expected_failures.point, 1e-9);
+  EXPECT_NEAR(batch.cost_diff.point, ka.total_cost.point - kb.total_cost.point,
+              1e-6 * std::abs(ka.total_cost.point));
+}
+
+TEST(CompareModels, HonoursTheRunControl) {
+  const auto model = eijoint::build_ei_joint(eijoint::EiJointParameters::defaults(),
+                                             eijoint::current_policy());
+  AnalysisSettings s = quick(4000);
+  s.threads = 4;
+  RunControl control;
+  control.set_trajectory_budget(100);
+  s.control = &control;
+  const PairedComparison cmp = compare_models(model, model, s);
+  EXPECT_GE(cmp.trajectories, 100u);
+  EXPECT_LT(cmp.trajectories, 4000u);
+
+  control.request_stop();  // nothing can complete
+  EXPECT_THROW(compare_models(model, model, s), ResourceLimitError);
 }
 
 TEST(FailureTimeQuantiles, MatchExponentialClosedForm) {
@@ -106,6 +153,32 @@ TEST(FailureTimeQuantiles, Validation) {
   m.set_top(m.add_basic_event("a", Distribution::exponential(1)));
   EXPECT_THROW(failure_time_quantiles(m, {}, quick(10)), DomainError);
   EXPECT_THROW(failure_time_quantiles(m, {1.5}, quick(10)), DomainError);
+}
+
+TEST(FailureTimeQuantiles, RejectsZeroTrajectories) {
+  FaultMaintenanceTree m;
+  m.set_top(m.add_basic_event("a", Distribution::exponential(1)));
+  EXPECT_THROW(failure_time_quantiles(m, {0.5}, quick(0)), DomainError);
+}
+
+TEST(FailureTimeQuantiles, RejectsNonPositiveHorizonBeforeAnyWorkerStarts) {
+  FaultMaintenanceTree m;
+  m.set_top(m.add_basic_event("a", Distribution::exponential(1)));
+  AnalysisSettings s = quick(1000, 0.0);
+  s.threads = 4;
+  EXPECT_THROW(failure_time_quantiles(m, {0.5}, s), DomainError);
+}
+
+TEST(FailureTimeQuantiles, HonoursTheEngineSetting) {
+  FaultMaintenanceTree m;
+  m.set_top(m.add_basic_event("a", Distribution::exponential(0.5)));
+  AnalysisSettings s = quick(4000, 100.0);
+  s.engine = Engine::Scalar;
+  const auto scalar = failure_time_quantiles(m, {0.5}, s);
+  s.engine = Engine::Batch;
+  const auto batch = failure_time_quantiles(m, {0.5}, s);
+  EXPECT_NE(batch[0], scalar[0]);
+  EXPECT_NEAR(batch[0], -std::log(0.5) / 0.5, 0.12);
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fmt/parser.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fmt_executor.hpp"
 #include "smc/kpi.hpp"
 #include "smc/runner.hpp"
@@ -86,37 +89,54 @@ TEST(RunControl, NullControlMatchesNoControlBitExactly) {
 }
 
 TEST(RunControl, TruncatedPrefixBitIdenticalToUntruncatedRun) {
-  // Budget-stop a multi-threaded run, then rerun exactly the delivered
-  // prefix without a control: every statistic must match bit for bit.
+  // Budget-stop a run on both engines at several thread counts, then rerun
+  // exactly the delivered prefix without a control: every statistic must
+  // match bit for bit. Workers poll the control before each claim and finish
+  // every unit they claimed, so the prefix covers at least the budget and
+  // the smc.* counters cover exactly the prefix.
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
   const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, 4);
-  sim::SimOptions opts;
-  opts.horizon = 10.0;
+  for (const Engine engine : {Engine::Scalar, Engine::Batch}) {
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(engine_name(engine)) + " at " +
+                   std::to_string(threads) + " threads");
+      const ParallelRunner runner(simulator, threads);
+      sim::SimOptions opts;
+      opts.horizon = 10.0;
+      opts.engine = engine;
+      obs::MetricsRegistry metrics;
+      sim::SimOptions observed = opts;
+      observed.telemetry.metrics = &metrics;
 
-  RunControl control;
-  control.set_trajectory_budget(120);
-  const BatchResult truncated = runner.run(42, 0, 5000, opts, &control);
-  ASSERT_TRUE(truncated.truncated);
-  EXPECT_EQ(truncated.stop_reason, StopReason::BudgetExhausted);
-  // The delivered prefix hovers around the budget but is only guaranteed to
-  // be nonempty and partial (a slow worker shortens it).
-  ASSERT_GT(truncated.completed, 0u);
-  ASSERT_LT(truncated.completed, 5000u);
-  ASSERT_EQ(truncated.summaries.size(), truncated.completed);
+      RunControl control;
+      control.set_trajectory_budget(120);
+      const BatchResult truncated = runner.run(42, 0, 5000, observed, &control);
+      ASSERT_TRUE(truncated.truncated);
+      EXPECT_EQ(truncated.stop_reason, StopReason::BudgetExhausted);
+      ASSERT_GE(truncated.completed, 120u);
+      ASSERT_LT(truncated.completed, 5000u);
+      ASSERT_EQ(truncated.summaries.size(), truncated.completed);
+      EXPECT_EQ(metrics.counter_value("smc.trajectories"), truncated.completed);
 
-  const BatchResult reference = runner.run(42, 0, truncated.completed, opts);
-  ASSERT_EQ(reference.summaries.size(), truncated.summaries.size());
-  for (std::size_t i = 0; i < reference.summaries.size(); ++i) {
-    EXPECT_EQ(reference.summaries[i].first_failure_time,
-              truncated.summaries[i].first_failure_time);
-    EXPECT_EQ(reference.summaries[i].failures, truncated.summaries[i].failures);
-    EXPECT_EQ(reference.summaries[i].downtime, truncated.summaries[i].downtime);
-    EXPECT_EQ(reference.summaries[i].discounted_total,
-              truncated.summaries[i].discounted_total);
+      const BatchResult reference = runner.run(42, 0, truncated.completed, opts);
+      ASSERT_EQ(reference.summaries.size(), truncated.summaries.size());
+      for (std::size_t i = 0; i < reference.summaries.size(); ++i) {
+        EXPECT_EQ(reference.summaries[i].first_failure_time,
+                  truncated.summaries[i].first_failure_time);
+        EXPECT_EQ(reference.summaries[i].failures, truncated.summaries[i].failures);
+        EXPECT_EQ(reference.summaries[i].downtime, truncated.summaries[i].downtime);
+        EXPECT_EQ(reference.summaries[i].discounted_total,
+                  truncated.summaries[i].discounted_total);
+      }
+      EXPECT_EQ(reference.failures_per_leaf, truncated.failures_per_leaf);
+      EXPECT_EQ(reference.repairs_per_leaf, truncated.repairs_per_leaf);
+
+      // A budget above the request lets the whole request through.
+      const BatchResult whole = runner.run(42, 0, 100, opts, &control);
+      EXPECT_FALSE(whole.truncated);
+      EXPECT_EQ(whole.completed, 100u);
+    }
   }
-  EXPECT_EQ(reference.failures_per_leaf, truncated.failures_per_leaf);
-  EXPECT_EQ(reference.repairs_per_leaf, truncated.repairs_per_leaf);
 }
 
 TEST(RunControl, AnalyzeReportsTruncationOverExactPrefix) {

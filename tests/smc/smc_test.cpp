@@ -82,6 +82,21 @@ TEST(ParallelRunner, RejectsTraces) {
   EXPECT_THROW(ParallelRunner(simulator).run(1, 0, 1, opts), DomainError);
 }
 
+TEST(ParallelRunner, WorkerExceptionReachesTheCaller) {
+  // A throw inside a worker (here the engine's own discount-rate check) stops
+  // the other workers from claiming and is rethrown to the caller.
+  const FaultMaintenanceTree m = series_two_exponentials();
+  const sim::FmtSimulator simulator(m);
+  for (const Engine engine : {Engine::Scalar, Engine::Batch}) {
+    sim::SimOptions opts;
+    opts.horizon = 5.0;
+    opts.engine = engine;
+    opts.discount_rate = -0.1;
+    EXPECT_THROW(ParallelRunner(simulator, 4).run(1, 0, 1000, opts), DomainError)
+        << engine_name(engine);
+  }
+}
+
 // ---- KPIs vs closed forms ------------------------------------------------------
 
 TEST(Kpi, ReliabilityMatchesExponentialLaw) {
@@ -169,6 +184,27 @@ TEST(Kpi, SettingsValidation) {
   s.trajectories = 10;
   s.confidence = 1.5;
   EXPECT_THROW(analyze(m, s), DomainError);
+}
+
+TEST(Kpi, RejectsNegativeOrNanDiscountRateBeforeAnyWorkerStarts) {
+  const FaultMaintenanceTree m = exponential_leaf(1.0);
+  AnalysisSettings s = fast_settings(5.0, 1000);  // four workers
+  s.discount_rate = -0.1;
+  EXPECT_THROW(analyze(m, s), DomainError);
+  s.discount_rate = std::nan("");
+  EXPECT_THROW(analyze(m, s), DomainError);
+  s.discount_rate = 0.0;
+  EXPECT_NO_THROW(analyze(m, s));
+}
+
+TEST(Kpi, RejectsAdaptiveRunWithZeroBatch) {
+  const FaultMaintenanceTree m = exponential_leaf(1.0);
+  AnalysisSettings s = fast_settings(5.0, 1000);
+  s.target_relative_error = 0.1;
+  s.batch = 0;
+  EXPECT_THROW(analyze(m, s), DomainError);
+  s.target_relative_error = 0.0;  // the batch size only matters when adaptive
+  EXPECT_NO_THROW(analyze(m, s));
 }
 
 // ---- Curves ---------------------------------------------------------------------
