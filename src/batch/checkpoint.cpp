@@ -52,19 +52,15 @@ std::string checkpoint_path(const std::string& cache_dir) {
 }
 
 std::string encode_checkpoint(const SweepCheckpoint& cp) {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"" << kSchema << "\",\n"
-     << "  \"plan\": \"" << cp.plan_id << "\",\n"
-     << "  \"jobs\": [\n";
-  for (std::size_t i = 0; i < cp.jobs.size(); ++i) {
-    const CheckpointEntry& e = cp.jobs[i];
-    os << "    {\"label\": \"" << json::escape(e.label) << "\", \"key\": \""
-       << e.key << "\", \"status\": \"" << e.status << "\"}"
-       << (i + 1 < cp.jobs.size() ? "," : "") << "\n";
+  using Wrap = json::Writer::Wrap;
+  json::Writer w(json::Writer::Layout::Spaced);
+  w.begin_object(Wrap::Block).key("schema").string(kSchema);
+  w.key("plan").string(cp.plan_id).key("jobs").begin_array(Wrap::Block);
+  for (const CheckpointEntry& e : cp.jobs) {
+    w.begin_object().key("label").string(e.label).key("key").string(e.key);
+    w.key("status").string(e.status).end_object();
   }
-  os << "  ]\n}\n";
-  return os.str();
+  return w.end_array().end_object().take() + '\n';
 }
 
 SweepCheckpoint decode_checkpoint(const std::string& text) {

@@ -1,10 +1,9 @@
 #include "batch/result_cache.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <utility>
@@ -17,28 +16,16 @@ namespace fmtree::batch {
 
 namespace {
 
-/// C99 hexfloat form: exact bits, locale-independent, strtod-parseable.
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
 double parse_hexfloat(const json::Value& v) {
   if (!v.is(json::Kind::String)) throw IoError("cache entry: expected a hexfloat string");
-  errno = 0;
-  char* end = nullptr;
-  const double d = std::strtod(v.text.c_str(), &end);
-  if (end == v.text.c_str() || *end != '\0')
-    throw IoError("cache entry: bad hexfloat '" + v.text + "'");
-  return d;
+  const std::optional<double> d = json::parse_hexfloat(v.text);
+  if (!d) throw IoError("cache entry: bad hexfloat '" + v.text + "'");
+  return *d;
 }
 
-void encode_ci(std::ostringstream& os, const char* name,
-               const ConfidenceInterval& ci) {
-  os << "    \"" << name << "\": [\"" << hexfloat(ci.point) << "\", \""
-     << hexfloat(ci.lo) << "\", \"" << hexfloat(ci.hi) << "\", \""
-     << hexfloat(ci.confidence) << "\"],\n";
+void write_ci(json::Writer& w, const char* name, const ConfidenceInterval& ci) {
+  w.key(name).begin_array().hexfloat(ci.point).hexfloat(ci.lo).hexfloat(ci.hi);
+  w.hexfloat(ci.confidence).end_array();
 }
 
 ConfidenceInterval decode_ci(const json::Value& report, const char* name) {
@@ -49,12 +36,10 @@ ConfidenceInterval decode_ci(const json::Value& report, const char* name) {
           parse_hexfloat(v->items[2]), parse_hexfloat(v->items[3])};
 }
 
-void encode_doubles(std::ostringstream& os, const char* name,
-                    const std::vector<double>& values, bool trailing_comma) {
-  os << "    \"" << name << "\": [";
-  for (std::size_t i = 0; i < values.size(); ++i)
-    os << (i == 0 ? "\"" : ", \"") << hexfloat(values[i]) << "\"";
-  os << "]" << (trailing_comma ? "," : "") << "\n";
+void write_doubles(json::Writer& w, const char* name, const std::vector<double>& values) {
+  w.key(name).begin_array();
+  for (const double v : values) w.hexfloat(v);
+  w.end_array();
 }
 
 std::vector<double> decode_doubles(const json::Value& report, const char* name) {
@@ -125,38 +110,42 @@ Fingerprint report_content_hash(const smc::KpiReport& r) {
   return h.digest();
 }
 
+void write_report(json::Writer& w, const CacheKey& key, const smc::KpiReport& r) {
+  using Wrap = json::Writer::Wrap;
+  w.begin_object(Wrap::Block).key("schema").string("fmtree.result/v2");
+  w.key("model").string(key.model.hex()).key("request").string(key.request.hex());
+  w.key("content_hash").string(report_content_hash(r).hex());
+  w.key("report").begin_object(Wrap::Block).key("horizon").hexfloat(r.horizon);
+  w.key("trajectories").integer(r.trajectories);
+  write_ci(w, "reliability", r.reliability);
+  write_ci(w, "expected_failures", r.expected_failures);
+  write_ci(w, "failures_per_year", r.failures_per_year);
+  write_ci(w, "availability", r.availability);
+  write_ci(w, "total_cost", r.total_cost);
+  write_ci(w, "cost_per_year", r.cost_per_year);
+  write_ci(w, "npv_cost", r.npv_cost);
+  write_doubles(w, "mean_cost",
+                {r.mean_cost.inspection, r.mean_cost.repair, r.mean_cost.replacement,
+                 r.mean_cost.corrective, r.mean_cost.downtime});
+  w.key("mean_inspections").hexfloat(r.mean_inspections);
+  w.key("mean_repairs").hexfloat(r.mean_repairs);
+  w.key("mean_replacements").hexfloat(r.mean_replacements);
+  write_doubles(w, "failures_per_leaf", r.failures_per_leaf);
+  write_doubles(w, "repairs_per_leaf", r.repairs_per_leaf);
+  w.end_object().end_object();
+}
+
 std::string encode_report(const CacheKey& key, const smc::KpiReport& r) {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"fmtree.result/v2\",\n"
-     << "  \"model\": \"" << key.model.hex() << "\",\n"
-     << "  \"request\": \"" << key.request.hex() << "\",\n"
-     << "  \"content_hash\": \"" << report_content_hash(r).hex() << "\",\n"
-     << "  \"report\": {\n"
-     << "    \"horizon\": \"" << hexfloat(r.horizon) << "\",\n"
-     << "    \"trajectories\": " << r.trajectories << ",\n";
-  encode_ci(os, "reliability", r.reliability);
-  encode_ci(os, "expected_failures", r.expected_failures);
-  encode_ci(os, "failures_per_year", r.failures_per_year);
-  encode_ci(os, "availability", r.availability);
-  encode_ci(os, "total_cost", r.total_cost);
-  encode_ci(os, "cost_per_year", r.cost_per_year);
-  encode_ci(os, "npv_cost", r.npv_cost);
-  encode_doubles(os, "mean_cost",
-                 {r.mean_cost.inspection, r.mean_cost.repair, r.mean_cost.replacement,
-                  r.mean_cost.corrective, r.mean_cost.downtime},
-                 /*trailing_comma=*/true);
-  os << "    \"mean_inspections\": \"" << hexfloat(r.mean_inspections) << "\",\n"
-     << "    \"mean_repairs\": \"" << hexfloat(r.mean_repairs) << "\",\n"
-     << "    \"mean_replacements\": \"" << hexfloat(r.mean_replacements) << "\",\n";
-  encode_doubles(os, "failures_per_leaf", r.failures_per_leaf, true);
-  encode_doubles(os, "repairs_per_leaf", r.repairs_per_leaf, false);
-  os << "  }\n}\n";
-  return os.str();
+  json::Writer w(json::Writer::Layout::Spaced);
+  write_report(w, key, r);
+  return w.take() + '\n';
 }
 
 smc::KpiReport decode_report(const CacheKey& key, const std::string& text) {
-  const json::Value doc = json::parse(text);
+  return decode_report(key, json::parse(text));
+}
+
+smc::KpiReport decode_report(const CacheKey& key, const json::Value& doc) {
   const json::Value* schema = doc.find("schema");
   if (schema == nullptr || !schema->is(json::Kind::String) ||
       schema->text != "fmtree.result/v2")

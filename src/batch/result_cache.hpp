@@ -57,6 +57,11 @@
 #include "smc/kpi.hpp"
 #include "util/diagnostics.hpp"
 
+namespace fmtree::json {
+struct Value;
+class Writer;
+}  // namespace fmtree::json
+
 namespace fmtree::batch {
 
 class ResultCache {
@@ -148,10 +153,15 @@ private:
 /// Serialization used by the disk tier ("fmtree.result/v2"), exposed so
 /// tests can assert the hexfloat round-trip is bitwise exact.
 std::string encode_report(const CacheKey& key, const smc::KpiReport& report);
+/// The same document written into `w`, so another document (a serve result
+/// event) can nest it in its own layout.
+void write_report(json::Writer& w, const CacheKey& key, const smc::KpiReport& report);
 /// Throws IoError on malformed input, a key mismatch, or a content-hash
 /// mismatch (the entry parsed but its values disagree with the checksum the
 /// writer stored).
 smc::KpiReport decode_report(const CacheKey& key, const std::string& text);
+/// The same over an already parsed document.
+smc::KpiReport decode_report(const CacheKey& key, const json::Value& doc);
 
 /// The integrity checksum stored in every disk entry: a fingerprint of the
 /// report's *values* (IEEE-754 bit patterns, counts, vector lengths), not of

@@ -362,7 +362,10 @@ int cmd_analyze(const Options& opt, const fmt::FaultMaintenanceTree& model,
   control.reset();
   if (opt.timeout > 0) control.set_timeout(opt.timeout);
   s.control = &control;
-  const smc::KpiReport k = smc::analyze(model, s);
+  // One set of trajectories feeds both the KPI report and the quantiles.
+  smc::validate_settings(s);
+  const smc::BatchResult batch = smc::collect(model, s, s.horizon);
+  const smc::KpiReport k = smc::aggregate_kpis(batch, s);
   out << "KPIs over " << opt.horizon << " time units (" << k.trajectories
       << " runs, " << opt.confidence * 100 << "% CIs):\n";
   TextTable t({"KPI", "value"});
@@ -391,10 +394,9 @@ int cmd_analyze(const Options& opt, const fmt::FaultMaintenanceTree& model,
                cell(k.repairs_per_leaf[i], 3)});
   a.print(out);
 
-  // A truncated run already consumed the stop signal; launching the quantile
-  // batch would just truncate again at zero trajectories, so skip it.
+  // Quantiles over a truncated prefix would not describe the requested run.
   if (!opt.quantiles.empty() && !k.truncated) {
-    const auto q = smc::failure_time_quantiles(model, opt.quantiles, s);
+    const auto q = smc::failure_time_quantiles(batch.summaries, opt.quantiles);
     out << "\ntime-to-failure quantiles:\n";
     TextTable qt({"p", "t"});
     for (std::size_t i = 0; i < q.size(); ++i)

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <cstdio>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace fmtree::obs {
 
@@ -14,12 +15,10 @@ constexpr std::uint32_t kNotFound = std::numeric_limits<std::uint32_t>::max();
 
 /// JSON-safe rendering of a double: finite values round-trip, non-finite
 /// ones (which JSON cannot represent) become null.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+void write_number(json::Writer& w, double v) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+  w.token(std::isfinite(v) ? std::string_view(buf, static_cast<std::size_t>(n)) : "null");
 }
 
 }  // namespace
@@ -198,38 +197,28 @@ std::string MetricsRegistry::to_json() const {
     return idx;
   };
 
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"fmtree.metrics/v1\",\n  \"counters\": {";
-  bool first = true;
-  for (std::size_t i : sorted_indices(counters_)) {
-    os << (first ? "\n" : ",\n") << "    \"" << counters_[i].name
-       << "\": " << counters_[i].value;
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (std::size_t i : sorted_indices(gauges_)) {
-    if (!gauges_[i].set) continue;
-    os << (first ? "\n" : ",\n") << "    \"" << gauges_[i].name
-       << "\": " << json_number(gauges_[i].value);
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
+  using Wrap = json::Writer::Wrap;
+  json::Writer w(json::Writer::Layout::Spaced);
+  w.begin_object(Wrap::Block).key("schema").string("fmtree.metrics/v1");
+  w.key("counters").begin_object(Wrap::Block);
+  for (std::size_t i : sorted_indices(counters_))
+    w.key(counters_[i].name).integer(counters_[i].value);
+  w.end_object().key("gauges").begin_object(Wrap::Block);
+  for (std::size_t i : sorted_indices(gauges_))
+    if (gauges_[i].set) write_number(w.key(gauges_[i].name), gauges_[i].value);
+  w.end_object().key("histograms").begin_object(Wrap::Block);
   for (std::size_t i : sorted_indices(hists_)) {
     const Hist& h = hists_[i];
     std::uint64_t total = h.underflow + h.overflow;
     for (std::uint64_t c : h.counts) total += c;
-    os << (first ? "\n" : ",\n") << "    \"" << h.name << "\": {\"lo\": "
-       << json_number(h.lo) << ", \"hi\": " << json_number(h.hi) << ", \"counts\": [";
-    for (std::size_t b = 0; b < h.counts.size(); ++b)
-      os << (b ? ", " : "") << h.counts[b];
-    os << "], \"underflow\": " << h.underflow << ", \"overflow\": " << h.overflow
-       << ", \"total\": " << total << "}";
-    first = false;
+    write_number(w.key(h.name).begin_object().key("lo"), h.lo);
+    write_number(w.key("hi"), h.hi);
+    w.key("counts").begin_array();
+    for (std::uint64_t c : h.counts) w.integer(c);
+    w.end_array().key("underflow").integer(h.underflow);
+    w.key("overflow").integer(h.overflow).key("total").integer(total).end_object();
   }
-  os << (first ? "" : "\n  ") << "}\n}\n";
-  return os.str();
+  return w.end_object().end_object().take() + '\n';
 }
 
 }  // namespace fmtree::obs

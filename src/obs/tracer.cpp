@@ -1,7 +1,9 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <cstdio>
+
+#include "util/json.hpp"
 
 #if defined(__linux__) || defined(__APPLE__)
 #include <ctime>
@@ -24,11 +26,11 @@ std::uint64_t thread_cpu_ns() noexcept {
   return 0;
 }
 
-std::string json_ms(std::uint64_t ns) {
-  std::ostringstream os;
-  os.precision(6);
-  os << std::fixed << static_cast<double>(ns) / 1e6;
-  return os.str();
+/// `value` in fixed notation with `decimals` digits after the point.
+void fixed(json::Writer& w, double value, int decimals) {
+  char buf[48];
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
+  w.token({buf, static_cast<std::size_t>(n)});
 }
 
 }  // namespace
@@ -90,36 +92,36 @@ std::vector<SpanRecord> Tracer::records() const {
 
 std::string Tracer::to_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"fmtree.trace/v1\",\n  \"spans\": [";
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const SpanRecord& s = spans_[i];
+  json::Writer w(json::Writer::Layout::Spaced);
+  w.begin_object(json::Writer::Wrap::Block).key("schema").string("fmtree.trace/v1");
+  w.key("spans").begin_array(json::Writer::Wrap::Block);
+  for (const SpanRecord& s : spans_) {
     const std::uint64_t wall = s.end_ns > s.start_ns ? s.end_ns - s.start_ns : 0;
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << s.name << "\", \"thread\": "
-       << s.thread << ", \"parent\": " << s.parent << ", \"start_ms\": "
-       << json_ms(s.start_ns) << ", \"wall_ms\": " << json_ms(wall)
-       << ", \"cpu_ms\": " << json_ms(s.cpu_ns) << "}";
+    w.begin_object().key("name").string(s.name).key("thread").integer(s.thread);
+    w.key("parent").integer(s.parent);
+    fixed(w.key("start_ms"), static_cast<double>(s.start_ns) / 1e6, 6);
+    fixed(w.key("wall_ms"), static_cast<double>(wall) / 1e6, 6);
+    fixed(w.key("cpu_ms"), static_cast<double>(s.cpu_ns) / 1e6, 6);
+    w.end_object();
   }
-  os << (spans_.empty() ? "" : "\n  ") << "]\n}\n";
-  return os.str();
+  return w.end_array().end_object().take() + '\n';
 }
 
 std::string Tracer::to_chrome_trace() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os.precision(3);
-  os << std::fixed << "[";
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const SpanRecord& s = spans_[i];
+  json::Writer w(json::Writer::Layout::Spaced);
+  w.begin_array(json::Writer::Wrap::Block);
+  for (const SpanRecord& s : spans_) {
     const std::uint64_t wall = s.end_ns > s.start_ns ? s.end_ns - s.start_ns : 0;
-    os << (i ? ",\n " : "\n ") << "{\"name\": \"" << s.name
-       << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << s.thread << ", \"ts\": "
-       << static_cast<double>(s.start_ns) / 1e3 << ", \"dur\": "
-       << static_cast<double>(wall) / 1e3 << ", \"args\": {\"cpu_ms\": "
-       << static_cast<double>(s.cpu_ns) / 1e6 << "}}";
+    w.begin_object().key("name").string(s.name).key("ph").string("X");
+    w.key("pid").integer(1).key("tid").integer(s.thread);
+    fixed(w.key("ts"), static_cast<double>(s.start_ns) / 1e3, 3);
+    fixed(w.key("dur"), static_cast<double>(wall) / 1e3, 3);
+    w.key("args").begin_object();
+    fixed(w.key("cpu_ms"), static_cast<double>(s.cpu_ns) / 1e6, 3);
+    w.end_object().end_object();
   }
-  os << (spans_.empty() ? "]" : "\n]") << "\n";
-  return os.str();
+  return w.end_array().take() + '\n';
 }
 
 Tracer::Span maybe_span(Tracer* tracer, std::string_view name) {

@@ -1,9 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <optional>
 #include <string_view>
 
 #include "batch/result_cache.hpp"
@@ -28,17 +25,14 @@ constexpr std::string_view kPhases[] = {"sweep", "simulate", "solve", "refine"};
                      "that both run compatible fmtree versions");
 }
 
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
+/// Opens the one-line object of an event: its schema tag and event name.
+json::Writer begin_event(const char* event) {
+  json::Writer w(json::Writer::Layout::Compact);
+  w.begin_object().key("schema").string(kSchema).key("event").string(event);
+  return w;
 }
 
-std::string diagnostics_json(const std::vector<Diagnostic>& items) {
-  Diagnostics sink;
-  for (const Diagnostic& d : items) sink.add(d);
-  return sink.to_json();
-}
+std::string end_event(json::Writer& w) { return w.end_object().take() + '\n'; }
 
 const json::Value& member(const json::Value& obj, const char* key) {
   const json::Value* v = obj.find(key);
@@ -73,12 +67,9 @@ double get_double(const json::Value& obj, const char* key) {
   if (v.is(json::Kind::Number)) return v.as_double();
   if (!v.is(json::Kind::String))
     bad_wire(std::string("member '") + key + "' must be a number");
-  errno = 0;
-  char* end = nullptr;
-  const double d = std::strtod(v.text.c_str(), &end);
-  if (end == v.text.c_str() || *end != '\0')
-    bad_wire(std::string("member '") + key + "' is not a number: '" + v.text + "'");
-  return d;
+  const std::optional<double> d = json::parse_hexfloat(v.text);
+  if (!d) bad_wire(std::string("member '") + key + "' is not a number: '" + v.text + "'");
+  return *d;
 }
 
 Severity severity_from_name(const std::string& name) {
@@ -140,70 +131,63 @@ JobOutcome decode_job(const json::Value& obj) {
     out.failure.transient = transient.boolean;
     out.failure.attempts = static_cast<std::uint32_t>(get_u64(failure, "attempts"));
   }
-  if (out.state == JobState::Done) {
-    // The embedded report is the verbatim (compacted) "fmtree.result/v2"
-    // document; re-serializing the parsed subtree reproduces its value bytes
-    // exactly (json::write keeps raw number tokens), so decode_report's
-    // content-hash check still guards end-to-end integrity.
-    out.report = batch::decode_report(out.key, json::write(member(obj, "report")));
-  }
+  // The embedded report is a "fmtree.result/v2" document; decode_report's
+  // content-hash check guards its values end to end.
+  if (out.state == JobState::Done)
+    out.report = batch::decode_report(out.key, member(obj, "report"));
   return out;
 }
 
 }  // namespace
 
 std::string encode_accepted(const std::string& id, std::size_t jobs) {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kSchema << "\",\"event\":\"accepted\",\"id\":\""
-     << json::escape(id) << "\",\"jobs\":" << jobs << "}\n";
-  return os.str();
+  json::Writer w = begin_event("accepted");
+  w.key("id").string(id).key("jobs").integer(jobs);
+  return end_event(w);
 }
 
 std::string encode_progress(const obs::Progress& progress) {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kSchema << "\",\"event\":\"progress\",\"phase\":\""
-     << json::escape(progress.phase) << "\",\"done\":" << progress.done
-     << ",\"total\":" << progress.total << ",\"rate\":\"" << hexfloat(progress.rate)
-     << "\",\"eta_seconds\":\"" << hexfloat(progress.eta_seconds)
-     << "\",\"ci_half_width\":\"" << hexfloat(progress.ci_half_width)
-     << "\",\"ci_target\":\"" << hexfloat(progress.ci_target) << "\"}\n";
-  return os.str();
+  json::Writer w = begin_event("progress");
+  w.key("phase").string(progress.phase);
+  w.key("done").integer(progress.done).key("total").integer(progress.total);
+  w.key("rate").hexfloat(progress.rate).key("eta_seconds").hexfloat(progress.eta_seconds);
+  w.key("ci_half_width").hexfloat(progress.ci_half_width);
+  w.key("ci_target").hexfloat(progress.ci_target);
+  return end_event(w);
 }
 
 std::string encode_result(const Response& response) {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kSchema << "\",\"event\":\"result\",\"id\":\""
-     << json::escape(response.id) << "\",\"stop_reason\":\""
-     << smc::stop_reason_name(response.stop_reason)
-     << "\",\"warnings\":" << diagnostics_json(response.warnings) << ",\"jobs\":[";
-  for (std::size_t i = 0; i < response.jobs.size(); ++i) {
-    const JobOutcome& job = response.jobs[i];
-    if (i != 0) os << ',';
-    os << "{\"label\":\"" << json::escape(job.label) << "\",\"key\":{\"model\":\""
-       << job.key.model.hex() << "\",\"request\":\"" << job.key.request.hex()
-       << "\"},\"status\":\"" << job_state_name(job.state) << "\",\"source\":\""
-       << (job.cache_hit ? "cache" : "simulated")
-       << "\",\"retries\":" << job.retries;
+  json::Writer w = begin_event("result");
+  w.key("id").string(response.id);
+  w.key("stop_reason").string(smc::stop_reason_name(response.stop_reason));
+  write_json(w.key("warnings"), response.warnings);
+  w.key("jobs").begin_array();
+  for (const JobOutcome& job : response.jobs) {
+    w.begin_object().key("label").string(job.label).key("key").begin_object();
+    w.key("model").string(job.key.model.hex());
+    w.key("request").string(job.key.request.hex()).end_object();
+    w.key("status").string(job_state_name(job.state));
+    w.key("source").string(job.cache_hit ? "cache" : "simulated");
+    w.key("retries").integer(job.retries);
     if (job.state == JobState::Failed) {
-      os << ",\"failure\":{\"kind\":\"" << json::escape(job.failure.kind)
-         << "\",\"message\":\"" << json::escape(job.failure.message)
-         << "\",\"transient\":" << (job.failure.transient ? "true" : "false")
-         << ",\"attempts\":" << job.failure.attempts << '}';
+      const batch::JobFailure& f = job.failure;
+      w.key("failure").begin_object().key("kind").string(f.kind);
+      w.key("message").string(f.message).key("transient").boolean(f.transient);
+      w.key("attempts").integer(f.attempts).end_object();
     }
     if (job.state == JobState::Done)
-      os << ",\"report\":" << compact_json(batch::encode_report(job.key, job.report));
-    os << '}';
+      batch::write_report(w.key("report"), job.key, job.report);
+    w.end_object();
   }
-  os << "]}\n";
-  return os.str();
+  w.end_array();
+  return end_event(w);
 }
 
 std::string encode_error(const RequestError& error) {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kSchema << "\",\"event\":\"error\",\"code\":\""
-     << json::escape(error.code()) << "\",\"message\":\"" << json::escape(error.what())
-     << "\",\"diagnostics\":" << diagnostics_json(error.diagnostics()) << "}\n";
-  return os.str();
+  json::Writer w = begin_event("error");
+  w.key("code").string(error.code()).key("message").string(error.what());
+  write_json(w.key("diagnostics"), error.diagnostics());
+  return end_event(w);
 }
 
 Event decode_event(const std::string& line) try {
@@ -258,29 +242,6 @@ Event decode_event(const std::string& line) try {
   throw;
 } catch (const Error& e) {
   bad_wire(e.what());
-}
-
-std::string compact_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  bool in_string = false;
-  bool escaped = false;
-  for (const char c : text) {
-    if (in_string) {
-      out.push_back(c);
-      if (escaped)
-        escaped = false;
-      else if (c == '\\')
-        escaped = true;
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') continue;
-    out.push_back(c);
-    if (c == '"') in_string = true;
-  }
-  return out;
 }
 
 }  // namespace fmtree::serve

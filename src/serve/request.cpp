@@ -1,8 +1,6 @@
 #include "serve/request.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -44,13 +42,11 @@ double parse_number(const json::Value& v, const std::string& what) {
     }
   }
   if (v.is(json::Kind::String)) {
-    const char* begin = v.text.c_str();
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin || *end != '\0')
+    const std::optional<double> value = json::parse_hexfloat(v.text);
+    if (!value)
       invalid("request field '" + what + "' is not a number: '" + v.text + "'",
               "use a JSON number or a C99 hexfloat string like \"0x1.8p+1\"");
-    return value;
+    return *value;
   }
   invalid("request field '" + what + "' must be a number or hexfloat string");
 }
@@ -60,14 +56,6 @@ std::uint64_t parse_count(const json::Value& v, const std::string& what) {
   if (!(d >= 0) || d != std::floor(d))
     invalid("request field '" + what + "' must be a nonnegative integer");
   return static_cast<std::uint64_t>(d);
-}
-
-/// C99 hexfloat form, same helper discipline as the result cache: exact
-/// bits, locale-independent, strtod-parseable.
-std::string hexfloat(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
 }
 
 void reject_unknown_members(const json::Value& object, const char* where,
@@ -274,66 +262,48 @@ Request parse_request(const std::string& text) {
 }
 
 std::string encode_request(const Request& request) {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"" << kSchema << "\",\n";
-  if (!request.id.empty())
-    os << "  \"id\": \"" << json::escape(request.id) << "\",\n";
-  if (request.priority != 0) os << "  \"priority\": " << request.priority << ",\n";
-  os << "  \"model\": {";
-  if (!request.model_ref.empty()) {
-    os << "\"ref\": \"" << json::escape(request.model_ref) << "\"";
-  } else {
-    os << "\"inline\": \"" << json::escape(request.model_text) << "\"";
-  }
-  os << "},\n"
-     << "  \"settings\": {\n"
-     << "    \"horizon\": \"" << hexfloat(request.settings.horizon) << "\",\n"
-     << "    \"trajectories\": " << request.settings.trajectories << ",\n"
-     << "    \"seed\": " << request.settings.seed << ",\n"
-     << "    \"confidence\": \"" << hexfloat(request.settings.confidence) << "\",\n"
-     << "    \"discount_rate\": \"" << hexfloat(request.settings.discount_rate)
-     << "\",\n"
-     << "    \"target_relative_error\": \""
-     << hexfloat(request.settings.target_relative_error) << "\",\n"
-     << "    \"engine\": \""
-     << (request.settings.engine == Engine::Default
-             ? "default"
-             : engine_name(request.settings.engine))
-     << "\"\n"
-     << "  }";
+  using Wrap = json::Writer::Wrap;
+  json::Writer w(json::Writer::Layout::Spaced);
+  w.begin_object(Wrap::Block).key("schema").string(kSchema);
+  if (!request.id.empty()) w.key("id").string(request.id);
+  if (request.priority != 0) w.key("priority").integer(request.priority);
+  w.key("model").begin_object();
+  if (!request.model_ref.empty()) w.key("ref").string(request.model_ref);
+  else w.key("inline").string(request.model_text);
+  const smc::AnalysisSettings& s = request.settings;
+  w.end_object().key("settings").begin_object(Wrap::Block);
+  w.key("horizon").hexfloat(s.horizon).key("trajectories").integer(s.trajectories);
+  w.key("seed").integer(s.seed).key("confidence").hexfloat(s.confidence);
+  w.key("discount_rate").hexfloat(s.discount_rate);
+  w.key("target_relative_error").hexfloat(s.target_relative_error);
+  w.key("engine").string(s.engine == Engine::Default ? "default"
+                                                      : engine_name(s.engine));
+  w.end_object();
   if (request.has_fleet) {
-    os << ",\n  \"fleet\": {\"joints\": " << request.fleet.joints
-       << ", \"seed\": " << request.fleet.seed << ", \"jitter\": \""
-       << hexfloat(request.fleet.jitter) << "\", \"coupling\": \""
-       << hexfloat(request.fleet.coupling) << "\"}";
+    w.key("fleet").begin_object().key("joints").integer(request.fleet.joints);
+    w.key("seed").integer(request.fleet.seed);
+    w.key("jitter").hexfloat(request.fleet.jitter);
+    w.key("coupling").hexfloat(request.fleet.coupling).end_object();
   }
   if (request.has_policy) {
-    os << ",\n  \"policy\": {";
-    bool first_member = true;
+    w.key("policy").begin_object();
     if (!request.frequencies.empty()) {
-      os << "\"frequencies\": [";
-      for (std::size_t i = 0; i < request.frequencies.size(); ++i)
-        os << (i == 0 ? "\"" : ", \"") << hexfloat(request.frequencies[i]) << "\"";
-      os << "]";
-      first_member = false;
+      w.key("frequencies").begin_array();
+      for (const double f : request.frequencies) w.hexfloat(f);
+      w.end_array();
     }
     if (!request.scripts.empty()) {
-      os << (first_member ? "" : ", ") << "\"scripts\": [";
-      for (std::size_t i = 0; i < request.scripts.size(); ++i) {
-        const Request::PolicyScript& s = request.scripts[i];
-        os << (i == 0 ? "" : ", ");
-        if (!s.ref.empty()) {
-          os << "{\"ref\": \"" << json::escape(s.ref) << "\"}";
-        } else {
-          os << "{\"inline\": \"" << json::escape(s.text) << "\"}";
-        }
+      w.key("scripts").begin_array();
+      for (const Request::PolicyScript& script : request.scripts) {
+        if (!script.ref.empty()) w.begin_object().key("ref").string(script.ref);
+        else w.begin_object().key("inline").string(script.text);
+        w.end_object();
       }
-      os << "]";
+      w.end_array();
     }
-    os << "}";
+    w.end_object();
   }
-  os << "\n}\n";
-  return os.str();
+  return w.end_object().take() + '\n';
 }
 
 namespace {

@@ -48,18 +48,32 @@ PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
   return out;
 }
 
+namespace {
+
+void check_probabilities(const std::vector<double>& probabilities) {
+  if (probabilities.empty()) throw DomainError("need at least one probability");
+  for (double p : probabilities)
+    if (!(p >= 0 && p <= 1)) throw DomainError("quantile probability outside [0,1]");
+}
+
+}  // namespace
+
 std::vector<double> failure_time_quantiles(const fmt::FaultMaintenanceTree& model,
                                            const std::vector<double>& probabilities,
                                            const AnalysisSettings& settings) {
   validate_settings(settings);
-  if (probabilities.empty()) throw DomainError("need at least one probability");
-  for (double p : probabilities)
-    if (!(p >= 0 && p <= 1)) throw DomainError("quantile probability outside [0,1]");
-  const BatchResult batch = collect(model, settings, settings.horizon);
+  check_probabilities(probabilities);
+  return failure_time_quantiles(collect(model, settings, settings.horizon).summaries,
+                                probabilities);
+}
 
+std::vector<double> failure_time_quantiles(std::span<const TrajectorySummary> summaries,
+                                           const std::vector<double>& probabilities) {
+  check_probabilities(probabilities);
+  if (summaries.empty()) throw DomainError("quantiles need at least one trajectory");
   std::vector<double> times;
-  times.reserve(batch.summaries.size());
-  for (const TrajectorySummary& t : batch.summaries)
+  times.reserve(summaries.size());
+  for (const TrajectorySummary& t : summaries)
     times.push_back(t.first_failure_time);  // +inf for survivors
   std::sort(times.begin(), times.end());
 

@@ -8,6 +8,9 @@
 // giving far tighter confidence intervals on "which policy is better".
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "fmt/fmtree.hpp"
 #include "smc/kpi.hpp"
 
@@ -46,5 +49,11 @@ PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
 std::vector<double> failure_time_quantiles(const fmt::FaultMaintenanceTree& model,
                                            const std::vector<double>& probabilities,
                                            const AnalysisSettings& settings);
+
+/// The same quantiles over trajectories already run, e.g. the ones an
+/// analysis aggregated into its KPI report. Throws DomainError when
+/// `summaries` is empty.
+std::vector<double> failure_time_quantiles(std::span<const TrajectorySummary> summaries,
+                                           const std::vector<double>& probabilities);
 
 }  // namespace fmtree::smc

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace fmtree {
 
 const char* severity_name(Severity s) {
@@ -53,46 +55,23 @@ std::string Diagnostics::format() const {
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
+void write_json(json::Writer& w, const std::vector<Diagnostic>& items) {
+  w.begin_array();
+  for (const Diagnostic& d : items) {
+    w.begin_object().key("severity").string(severity_name(d.severity));
+    w.key("code").string(d.code).key("line").integer(d.loc.line);
+    w.key("column").integer(d.loc.column).key("message").string(d.message);
+    if (!d.hint.empty()) w.key("hint").string(d.hint);
+    if (!d.token.empty()) w.key("token").string(d.token);
+    w.end_object();
   }
-  return out;
+  w.end_array();
 }
 
 std::string Diagnostics::to_json() const {
-  std::ostringstream os;
-  os << '[';
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    const Diagnostic& d = items_[i];
-    if (i != 0) os << ',';
-    os << "{\"severity\":\"" << severity_name(d.severity) << "\",\"code\":\""
-       << json_escape(d.code) << "\",\"line\":" << d.loc.line
-       << ",\"column\":" << d.loc.column << ",\"message\":\""
-       << json_escape(d.message) << '"';
-    if (!d.hint.empty()) os << ",\"hint\":\"" << json_escape(d.hint) << '"';
-    if (!d.token.empty()) os << ",\"token\":\"" << json_escape(d.token) << '"';
-    os << '}';
-  }
-  os << ']';
-  return os.str();
+  json::Writer w(json::Writer::Layout::Compact);
+  write_json(w, items_);
+  return w.take();
 }
 
 namespace {

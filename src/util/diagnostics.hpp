@@ -24,6 +24,10 @@
 
 namespace fmtree {
 
+namespace json {
+class Writer;
+}  // namespace json
+
 enum class Severity { Note, Warning, Error };
 
 const char* severity_name(Severity s);
@@ -80,8 +84,8 @@ private:
 /// Renders one diagnostic in the human-readable format used by Diagnostics::format().
 std::string format_diagnostic(const Diagnostic& d);
 
-/// JSON string escaping for the machine-readable error channel.
-std::string json_escape(const std::string& s);
+/// Writes `items` into `w` as the JSON array Diagnostics::to_json() renders.
+void write_json(json::Writer& w, const std::vector<Diagnostic>& items);
 
 /// Aggregate of one parse pass: derives from ParseError so call sites that
 /// expect the single-error exception keep working, while carrying the full

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "util/error.hpp"
 
@@ -58,11 +59,13 @@ private:
       case '[': return parse_array();
       case '"': return parse_string_value();
       case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return Value{.kind = Kind::Bool, .boolean = true};
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return Value{.kind = Kind::Bool, .boolean = false};
+      case 'f': {
+        Value v;
+        v.kind = Kind::Bool;
+        v.boolean = peek() == 't';
+        if (!consume_literal(v.boolean ? "true" : "false")) fail("bad literal");
+        return v;
+      }
       case 'n':
         if (!consume_literal("null")) fail("bad literal");
         return Value{};
@@ -218,61 +221,16 @@ std::uint64_t Value::as_u64() const {
 
 double Value::as_double() const {
   if (kind != Kind::Number) throw IoError("json: expected a number");
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0')
-    throw IoError("json: bad number '" + text + "'");
-  return v;
+  const std::optional<double> v = parse_hexfloat(text);
+  if (!v) throw IoError("json: bad number '" + text + "'");
+  return *v;
 }
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
 namespace {
 
-void write_value(const Value& v, std::string& out) {
-  switch (v.kind) {
-    case Kind::Null: out += "null"; return;
-    case Kind::Bool: out += v.boolean ? "true" : "false"; return;
-    case Kind::Number: out += v.text; return;
-    case Kind::String:
-      out.push_back('"');
-      out += escape(v.text);
-      out.push_back('"');
-      return;
-    case Kind::Array:
-      out.push_back('[');
-      for (std::size_t i = 0; i < v.items.size(); ++i) {
-        if (i != 0) out.push_back(',');
-        write_value(v.items[i], out);
-      }
-      out.push_back(']');
-      return;
-    case Kind::Object:
-      out.push_back('{');
-      for (std::size_t i = 0; i < v.members.size(); ++i) {
-        if (i != 0) out.push_back(',');
-        out.push_back('"');
-        out += escape(v.members[i].first);
-        out += "\":";
-        write_value(v.members[i].second, out);
-      }
-      out.push_back('}');
-      return;
-  }
-}
-
-}  // namespace
-
-std::string write(const Value& v) {
-  std::string out;
-  write_value(v, out);
-  return out;
-}
-
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -282,15 +240,82 @@ std::string escape(std::string_view s) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xf];
+          out += kHex[c & 0xf];
         } else {
           out.push_back(c);
         }
     }
   }
+}
+
+}  // namespace
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
+}
+
+std::optional<double> parse_hexfloat(const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') return std::nullopt;
+  return v;
+}
+
+void Writer::separate() {
+  if (std::exchange(after_key_, false) || frames_.empty()) return;
+  Frame& frame = frames_.back();
+  if (!frame.empty) out_ += spaced_ && !frame.block ? ", " : ",";
+  frame.empty = false;
+  if (frame.block) out_.append("\n").append(2 * frames_.size(), ' ');
+}
+
+Writer& Writer::open(char bracket, Wrap wrap) {
+  separate();
+  out_.push_back(bracket);
+  frames_.push_back(Frame{spaced_ && wrap == Wrap::Block, true});
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  const Frame frame = frames_.back();
+  frames_.pop_back();
+  if (frame.block && !frame.empty) out_.append("\n").append(2 * frames_.size(), ' ');
+  out_.push_back(bracket);
+  return *this;
+}
+
+Writer& Writer::key(std::string_view name) {
+  string(name);
+  out_ += spaced_ ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::string(std::string_view s) {
+  separate();
+  out_.push_back('"');
+  append_escaped(out_, s);
+  out_.push_back('"');
+  return *this;
+}
+
+Writer& Writer::hexfloat(double v) {
+  // C99 hexfloat: exact bits, locale-independent, strtod-parseable.
+  char buf[48];
+  const int n = std::snprintf(buf, sizeof buf, "\"%a\"", v);
+  return token({buf, static_cast<std::size_t>(n)});
+}
+
+Writer& Writer::token(std::string_view t) {
+  separate();
+  out_ += t;
+  return *this;
 }
 
 }  // namespace fmtree::json

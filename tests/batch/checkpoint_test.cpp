@@ -105,5 +105,23 @@ TEST(SweepCheckpoint, WriteReadReflectsOutcomeStatus) {
   EXPECT_THROW(read_checkpoint(path), IoError);
 }
 
+TEST(SweepCheckpoint, EncodeBytesArePinned) {
+  SweepCheckpoint cp;
+  cp.plan_id = "00ff";
+  cp.jobs = {{"seed-1", "k1-k2", "done"},
+             {"odd \"label\"", "k3-k4", "failed"},
+             {"p", "k5-k6", "pending"}};
+  EXPECT_EQ(encode_checkpoint(cp), R"json({
+  "schema": "fmtree.sweep-checkpoint/v1",
+  "plan": "00ff",
+  "jobs": [
+    {"label": "seed-1", "key": "k1-k2", "status": "done"},
+    {"label": "odd \"label\"", "key": "k3-k4", "status": "failed"},
+    {"label": "p", "key": "k5-k6", "status": "pending"}
+  ]
+}
+)json");
+}
+
 }  // namespace
 }  // namespace fmtree::batch

@@ -207,5 +207,35 @@ TEST(ResultCache, RecoveryScanRemovesStaleTempFiles) {
   EXPECT_EQ(warnings[0].code, "C102");
 }
 
+// Byte pin of the disk format: entries written by earlier builds must stay
+// readable, so the layout must not drift.
+TEST(ResultCacheCodec, EncodeReportBytesArePinned) {
+  EXPECT_EQ(encode_report(test_key(), nasty_report()),
+            R"json({
+  "schema": "fmtree.result/v2",
+  "model": "00000000000012340000000000000000",
+  "request": "00000000000056780000000000009abc",
+  "content_hash": "ce70685fba179356fb6abc3863860585",
+  "report": {
+    "horizon": "0x1.3333333333334p-2",
+    "trajectories": 12345,
+    "reliability": ["0x1.5555555555555p-2", "0x1.5555555555554p-2", "0x1.5555555555555p-1", "0x1.e666666666666p-1"],
+    "expected_failures": ["0x0.0000000000001p-1022", "0x1.1ccf385ebc8ap+1023", "-0x0p+0", "0x1.fae147ae147aep-1"],
+    "failures_per_year": ["0x1.921fb54442d18p+1", "-0x1.921fb54442d18p+1", "0x1.56e1fc2f8f359p-997", "0x1.e666666666666p-1"],
+    "availability": ["0x1p-52", "0x0p+0", "0x1p+0", "0x1.e666666666666p-1"],
+    "total_cost": ["0x1.34a456d5cfaadp+10", "0x1.f4p+9", "0x1.77p+10", "0x1.e666666666666p-1"],
+    "cost_per_year": ["0x1.edd2f1a9fbe77p+5", "0x1.9p+5", "0x1.2cp+6", "0x1.e666666666666p-1"],
+    "npv_cost": ["0x1.15c6666666666p+10", "0x1.f40cccccccccdp+9", "0x1.3186666666666p+10", "0x1.e666666666666p-1"],
+    "mean_cost": ["0x1.999999999999ap-4", "0x1.999999999999ap-3", "0x1.3333333333333p-2", "0x1.999999999999ap-2", "0x1.6666666666666p-1"],
+    "mean_inspections": "0x1.3ffffffffffffp+5",
+    "mean_repairs": "0x1.0000000000001p+1",
+    "mean_replacements": "0x0p+0",
+    "failures_per_leaf": ["0x1.999999999999ap-4", "0x1.2492492492492p-3", "0x0.0000000000001p-1022"],
+    "repairs_per_leaf": ["0x0p+0", "-0x0p+0", "0x1.edd2f1a9fbe77p+6"]
+  }
+}
+)json");
+}
+
 }  // namespace
 }  // namespace fmtree::batch

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace fmtree::cli {
 namespace {
@@ -173,6 +175,31 @@ TEST(CliMain, ReportsUsageErrors) {
   std::ostringstream out, err;
   EXPECT_EQ(main_impl({}, out, err), 2);
   EXPECT_NE(err.str().find("usage:"), std::string::npos);
+}
+
+TEST(CliRun, AnalyzeWithQuantilesSimulatesEachTrajectoryOnce) {
+  const std::string model_path = testing::TempDir() + "fmtree_quantiles_model.fmt";
+  const std::string metrics_path = testing::TempDir() + "fmtree_quantiles_metrics.json";
+  {
+    std::ofstream model(model_path);
+    model << kModel;
+  }
+  std::ostringstream out, err;
+  ASSERT_EQ(main_impl({"analyze", model_path, "--runs", "2000", "--seed", "3",
+                       "--quantiles", "0.1,0.5", "--metrics", metrics_path},
+                      out, err),
+            kExitOk)
+      << err.str();
+  EXPECT_NE(out.str().find("time-to-failure quantiles"), std::string::npos);
+  std::ifstream in(metrics_path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const json::Value metrics = json::parse(text.str());
+  const json::Value* counters = metrics.find("counters");
+  ASSERT_NE(counters, nullptr);
+  const json::Value* trajectories = counters->find("smc.trajectories");
+  ASSERT_NE(trajectories, nullptr);
+  EXPECT_EQ(trajectories->as_u64(), 2000u);
 }
 
 }  // namespace

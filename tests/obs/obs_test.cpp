@@ -10,6 +10,7 @@
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace fmtree::obs {
 namespace {
@@ -216,6 +217,34 @@ TEST(Progress, ThrottleAdmitsOneDeliveryPerInterval) {
   EXPECT_FALSE(reporter.due());
   reporter.report_now(p);  // forced delivery bypasses the throttle
   EXPECT_EQ(calls.load(), 2);
+}
+
+// Span names carry user text (a sweep job's label becomes "job:<label>"), so
+// every export must escape them to stay valid JSON.
+TEST(ObsExport, NamesWithQuotesAndBackslashesRoundTrip) {
+  const std::string span_name = "job:a\"b\\c";
+  const std::string counter_name = "jobs \"quoted\"";
+  Tracer tracer;
+  tracer.span(span_name).close();
+  MetricsRegistry reg;
+  reg.add(reg.counter(counter_name), 3);
+
+  const json::Value trace = json::parse(tracer.to_json());
+  const json::Value* spans = trace.find("spans");
+  ASSERT_NE(spans, nullptr);
+  ASSERT_EQ(spans->items.size(), 1u);
+  EXPECT_EQ(spans->items[0].find("name")->text, span_name);
+
+  const json::Value chrome = json::parse(tracer.to_chrome_trace());
+  ASSERT_EQ(chrome.items.size(), 1u);
+  EXPECT_EQ(chrome.items[0].find("name")->text, span_name);
+
+  const json::Value metrics = json::parse(reg.to_json());
+  const json::Value* counters = metrics.find("counters");
+  ASSERT_NE(counters, nullptr);
+  const json::Value* counter = counters->find(counter_name);
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->as_u64(), 3u);
 }
 
 }  // namespace

@@ -233,5 +233,66 @@ TEST(ServeRequest, PrepareExpandsAFleetIntoJointLabelledJobs) {
                fmt::canonical_hash(prepared.jobs[1].model));
 }
 
+TEST(ServeRequest, EncodeRequestBytesArePinned) {
+  Request full;
+  full.id = "pin \"1\"";
+  full.priority = -3;
+  full.model_text = "toplevel T;\nT be exp(0.5);\t// \"tab\"\n";
+  full.settings.horizon = 7.5;
+  full.settings.trajectories = 300;
+  full.settings.seed = 9;
+  full.settings.confidence = 0.9;
+  full.settings.discount_rate = 0.03;
+  full.settings.target_relative_error = 0.01;
+  full.settings.engine = Engine::Batch;
+  full.has_fleet = true;
+  full.fleet.joints = 25;
+  full.fleet.seed = 4;
+  full.fleet.jitter = 0.1;
+  full.fleet.coupling = 0.25;
+  full.has_policy = true;
+  full.frequencies = {0, 2, 1.0 / 3.0};
+  Request::PolicyScript inline_script;
+  inline_script.text = "policy \"p\" {\n  every 0.5: inspect A;\n}\n";
+  Request::PolicyScript ref_script;
+  ref_script.ref = "condition_based.mpl";
+  full.scripts = {inline_script, ref_script};
+  EXPECT_EQ(encode_request(full), R"json({
+  "schema": "fmtree.request/v1",
+  "id": "pin \"1\"",
+  "priority": -3,
+  "model": {"inline": "toplevel T;\nT be exp(0.5);\t// \"tab\"\n"},
+  "settings": {
+    "horizon": "0x1.ep+2",
+    "trajectories": 300,
+    "seed": 9,
+    "confidence": "0x1.ccccccccccccdp-1",
+    "discount_rate": "0x1.eb851eb851eb8p-6",
+    "target_relative_error": "0x1.47ae147ae147bp-7",
+    "engine": "batch"
+  },
+  "fleet": {"joints": 25, "seed": 4, "jitter": "0x1.999999999999ap-4", "coupling": "0x1p-2"},
+  "policy": {"frequencies": ["0x0p+0", "0x1p+1", "0x1.5555555555555p-2"], "scripts": [{"inline": "policy \"p\" {\n  every 0.5: inspect A;\n}\n"}, {"ref": "condition_based.mpl"}]}
+}
+)json");
+
+  Request minimal;
+  minimal.model_ref = "ei_joint.fmt";
+  EXPECT_EQ(encode_request(minimal), R"json({
+  "schema": "fmtree.request/v1",
+  "model": {"ref": "ei_joint.fmt"},
+  "settings": {
+    "horizon": "0x1.4p+3",
+    "trajectories": 10000,
+    "seed": 1,
+    "confidence": "0x1.e666666666666p-1",
+    "discount_rate": "0x0p+0",
+    "target_relative_error": "0x0p+0",
+    "engine": "default"
+  }
+}
+)json");
+}
+
 }  // namespace
 }  // namespace fmtree::serve

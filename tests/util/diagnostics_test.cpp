@@ -62,11 +62,6 @@ TEST(Diagnostics, ToJsonEscapesAndListsEveryDiagnostic) {
   EXPECT_NE(json.find("\"severity\":\"warning\""), std::string::npos);
 }
 
-TEST(Diagnostics, JsonEscapeControlCharacters) {
-  EXPECT_EQ(json_escape("a\nb\tc\\d\"e"), "a\\nb\\tc\\\\d\\\"e");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(Diagnostics, ThrowIfErrorsPicksParseAggregateForParseCodes) {
   Diagnostics d;
   d.error("P101", {3, 7}, "expected ';'");
@@ -133,6 +128,13 @@ TEST(ResourceLimit, WhatRendersPartialProgress) {
   EXPECT_NE(what.find("residual=0.001"), std::string::npos);
   EXPECT_NE(what.find("states=7"), std::string::npos);
   EXPECT_EQ(e.progress().iterations, 42u);
+}
+
+TEST(Diagnostics, ToJsonBytesArePinned) {
+  Diagnostics d;
+  d.error("P101", {1, 2}, "bad \"name\"", "quote it", "\"x");
+  d.warning("M103", {0, 0}, "unused\tnode\x01");
+  EXPECT_EQ(d.to_json(), R"json([{"severity":"error","code":"P101","line":1,"column":2,"message":"bad \"name\"","hint":"quote it","token":"\"x"},{"severity":"warning","code":"M103","line":0,"column":0,"message":"unused\tnode\u0001"}])json");
 }
 
 }  // namespace
