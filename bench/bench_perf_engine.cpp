@@ -1,14 +1,12 @@
 // Engine performance benchmark: trajectories/second and per-event cost of
 // the Monte-Carlo hot path on the two case-study models, emitted as
-// BENCH_engine.json so successive PRs are measured against a tracked
+// BENCH_engine.json so successive changes are measured against a tracked
 // baseline (run via bench/run_perf.sh).
 //
 // Configurations per model, all at a fixed seed:
-//  * baseline  — the pre-PR engine preserved verbatim in bench/seed_engine.hpp
-//                (std::priority_queue, full gate re-evaluation per event,
-//                fresh allocations per trajectory);
 //  * single    — the production scalar engine, one thread, reused
-//                SimWorkspace;
+//                SimWorkspace; the in-run baseline the batch engine is
+//                measured against (batch_vs_scalar);
 //  * batch     — the SoA lane-batch engine (sim::BatchExecutor, Philox
 //                counter streams), one thread, at its default lane width;
 //  * parallel  — the production engine through ParallelRunner at hardware
@@ -22,9 +20,10 @@
 //                changes no result bit (the acceptance bar is <3% on the
 //                EI-joint model).
 //
-// Before timing, the first trajectories of the seed engine, the production
-// engine, and its reference-evaluation mode are compared bit-for-bit: the
-// speedup must come from doing the same work faster, not different work. The
+// Before timing, the first trajectories of the production scalar engine, with
+// and without a reused workspace, are compared bit-for-bit against its
+// reference-evaluation mode (full gate re-evaluation per event): the fast
+// path must do the same work as the reference, not different work. The
 // batch engine uses a different RNG family, so it is checked differently:
 // its per-trajectory results must be bit-identical across lane widths and
 // chunk splits (batch_lane_invariant) — statistical agreement with the
@@ -35,15 +34,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/common.hpp"
-#include "bench/seed_engine.hpp"
 #include "fmt/parser.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -80,7 +78,6 @@ struct ModelReport {
   std::string name;
   std::uint64_t trajectories = 0;
   double horizon = 0.0;
-  double baseline_traj_per_sec = 0.0;
   double single_traj_per_sec = 0.0;
   double batch_traj_per_sec = 0.0;
   unsigned batch_lane_width = 0;
@@ -93,11 +90,8 @@ struct ModelReport {
   double telemetry_overhead_pct = 0.0;  ///< parallel slowdown with sinks attached
   double events_per_trajectory = 0.0;
   double ns_per_event = 0.0;
-  double speedup_single = 0.0;
-  double speedup_batch = 0.0;      ///< batch engine vs seed baseline
-  double batch_vs_scalar = 0.0;    ///< batch engine vs production scalar engine
-  double speedup_parallel = 0.0;
-  bool equivalent = false;            ///< baseline and single agree bit-for-bit
+  double batch_vs_scalar = 0.0;       ///< batch engine vs production scalar engine
+  bool equivalent = false;            ///< scalar fast path matches reference mode
   bool batch_lane_invariant = false;  ///< batch bits stable across widths/chunks
   bool telemetry_equivalent = false;  ///< telemetry run reproduces every summary bit
 };
@@ -129,10 +123,10 @@ bool bitwise_equal(const sim::TrajectoryResult& a, const sim::TrajectoryResult& 
          a.failures_per_leaf == b.failures_per_leaf;
 }
 
-ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n) {
+ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n,
+                        unsigned requested_threads) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(read_model_file(name + ".fmt"));
   const sim::FmtSimulator simulator(model);
-  const bench_seed::SeedSimulator seed_simulator(model);
 
   ModelReport rep;
   rep.name = name;
@@ -144,28 +138,20 @@ ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n
   sim::SimOptions reference = fast;
   reference.reference_engine = true;
 
-  // Cross-check: the seed engine, the production engine, and its full
-  // re-evaluation mode must agree bit-for-bit before any timing.
+  // Cross-check: the production engine, with a fresh and with a reused
+  // workspace, must agree bit-for-bit with its full re-evaluation mode
+  // before any timing.
   rep.equivalent = true;
   {
     sim::SimWorkspace ws;
     const std::uint64_t check = std::min<std::uint64_t>(n, 200);
     for (std::uint64_t i = 0; i < check; ++i) {
-      const auto s = seed_simulator.run(RandomStream(kSeed, i), fast);
-      const auto a = simulator.run(RandomStream(kSeed, i), reference);
-      const auto b = simulator.run(RandomStream(kSeed, i), fast, ws);
-      if (!bitwise_equal(s, a) || !bitwise_equal(s, b)) rep.equivalent = false;
+      const auto ref = simulator.run(RandomStream(kSeed, i), reference);
+      const auto fresh = simulator.run(RandomStream(kSeed, i), fast);
+      const auto reused = simulator.run(RandomStream(kSeed, i), fast, ws);
+      if (!bitwise_equal(ref, fresh) || !bitwise_equal(ref, reused))
+        rep.equivalent = false;
     }
-  }
-
-  // Baseline: the engine as it stood before this optimisation pass. Runs
-  // fewer trajectories when n is large; rates normalise the difference.
-  {
-    const std::uint64_t n_base = std::max<std::uint64_t>(n / 4, 1);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < n_base; ++i)
-      (void)seed_simulator.run(RandomStream(kSeed, i), fast);
-    rep.baseline_traj_per_sec = static_cast<double>(n_base) / seconds_since(t0);
   }
 
   // Production engine, single thread, reused workspace.
@@ -225,12 +211,6 @@ ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n
   // Production engine through the deterministic parallel runner, at hardware
   // concurrency (or FMTREE_BENCH_THREADS). threads() is what actually ran:
   // a 1-worker run is recorded but flagged as not a parallel measurement.
-  unsigned requested_threads = 0;
-  if (const char* env = std::getenv("FMTREE_BENCH_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && v > 0) requested_threads = static_cast<unsigned>(v);
-  }
   const smc::ParallelRunner runner(simulator, requested_threads);
   rep.parallel_threads = runner.threads();
   rep.parallel_measured = runner.threads() > 1;
@@ -259,10 +239,7 @@ ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n
                                metrics.counter_value("smc.trajectories") == n;
   }
 
-  rep.speedup_single = rep.single_traj_per_sec / rep.baseline_traj_per_sec;
-  rep.speedup_batch = rep.batch_traj_per_sec / rep.baseline_traj_per_sec;
   rep.batch_vs_scalar = rep.batch_traj_per_sec / rep.single_traj_per_sec;
-  rep.speedup_parallel = rep.parallel_traj_per_sec / rep.baseline_traj_per_sec;
   return rep;
 }
 
@@ -275,7 +252,6 @@ void write_json(std::ostream& os, const std::vector<ModelReport>& reports) {
        << "      \"model\": \"" << r.name << "\",\n"
        << "      \"trajectories\": " << r.trajectories << ",\n"
        << "      \"horizon\": " << r.horizon << ",\n"
-       << "      \"baseline_traj_per_sec\": " << r.baseline_traj_per_sec << ",\n"
        << "      \"single_thread_traj_per_sec\": " << r.single_traj_per_sec << ",\n"
        << "      \"batch_traj_per_sec\": " << r.batch_traj_per_sec << ",\n"
        << "      \"batch_lane_width\": " << r.batch_lane_width << ",\n"
@@ -290,10 +266,7 @@ void write_json(std::ostream& os, const std::vector<ModelReport>& reports) {
        << "      \"telemetry_overhead_pct\": " << r.telemetry_overhead_pct << ",\n"
        << "      \"events_per_trajectory\": " << r.events_per_trajectory << ",\n"
        << "      \"ns_per_event\": " << r.ns_per_event << ",\n"
-       << "      \"speedup_single_thread\": " << r.speedup_single << ",\n"
-       << "      \"speedup_batch\": " << r.speedup_batch << ",\n"
        << "      \"batch_vs_scalar\": " << r.batch_vs_scalar << ",\n"
-       << "      \"speedup_parallel\": " << r.speedup_parallel << ",\n"
        << "      \"bitwise_equivalent\": " << (r.equivalent ? "true" : "false") << ",\n"
        << "      \"batch_lane_invariant\": "
        << (r.batch_lane_invariant ? "true" : "false") << ",\n"
@@ -324,23 +297,25 @@ int main(int argc, char** argv) {
   fmtree::bench::header("M19", "Engine throughput",
                         "hot-path performance baseline (not a paper claim)");
 
+  // Environment overrides are read and validated here, before any model runs
+  // or any worker thread starts. Unset threads selects hardware concurrency.
   const std::uint64_t n = smoke ? 200 : fmtree::bench::trajectories(100000);
+  const auto threads = static_cast<unsigned>(fmtree::bench::env_count(
+      "FMTREE_BENCH_THREADS", 0, std::numeric_limits<unsigned>::max()));
   std::vector<ModelReport> reports;
-  reports.push_back(bench_model("ei_joint", 10.0, n));
-  reports.push_back(bench_model("compressor", 10.0, n));
+  reports.push_back(bench_model("ei_joint", 10.0, n, threads));
+  reports.push_back(bench_model("compressor", 10.0, n, threads));
 
   bool ok = true;
   for (const ModelReport& r : reports) {
-    std::cout << r.name << ": baseline "
-              << static_cast<std::uint64_t>(r.baseline_traj_per_sec)
-              << " traj/s, single " << static_cast<std::uint64_t>(r.single_traj_per_sec)
-              << " traj/s (x" << r.speedup_single << ", " << r.ns_per_event
-              << " ns/ev), batch " << static_cast<std::uint64_t>(r.batch_traj_per_sec)
-              << " traj/s (x" << r.speedup_batch << ", x" << r.batch_vs_scalar
-              << " vs scalar, W=" << r.batch_lane_width << ", " << r.batch_ns_per_event
-              << " ns/ev), parallel "
-              << static_cast<std::uint64_t>(r.parallel_traj_per_sec) << " traj/s (x"
-              << r.speedup_parallel << ", " << r.parallel_threads << " threads"
+    std::cout << r.name << ": single "
+              << static_cast<std::uint64_t>(r.single_traj_per_sec) << " traj/s ("
+              << r.ns_per_event << " ns/ev), batch "
+              << static_cast<std::uint64_t>(r.batch_traj_per_sec) << " traj/s (x"
+              << r.batch_vs_scalar << " vs scalar, W=" << r.batch_lane_width << ", "
+              << r.batch_ns_per_event << " ns/ev), parallel "
+              << static_cast<std::uint64_t>(r.parallel_traj_per_sec) << " traj/s ("
+              << r.parallel_threads << " threads"
               << (r.parallel_measured ? "" : "; 1 worker — NOT a parallel figure")
               << "), telemetry "
               << static_cast<std::uint64_t>(r.telemetry_traj_per_sec) << " traj/s ("

@@ -3,23 +3,41 @@
 // paper reports. Sample counts can be scaled with FMTREE_BENCH_TRAJECTORIES.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "smc/kpi.hpp"
 #include "util/table.hpp"
 
 namespace fmtree::bench {
 
-inline std::uint64_t trajectories(std::uint64_t dflt) {
-  if (const char* env = std::getenv("FMTREE_BENCH_TRAJECTORIES")) {
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(env, &end, 10);
-    if (end != env && v > 0) return v;
+// Positive decimal count from environment variable `name`; unset or empty
+// means `dflt`. Anything else (a sign, a non-digit, zero, or a value above
+// `max`) ends the bench with status 2 at the first read, so "-1" cannot wrap
+// to the type's maximum.
+inline std::uint64_t env_count(
+    const char* name, std::uint64_t dflt,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return dflt;
+  const std::string_view text(env);
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size() || v == 0 || v > max) {
+    std::cerr << "error: " << name << "='" << text << "' must be an integer in [1, "
+              << max << "]\n";
+    std::exit(2);
   }
-  return dflt;
+  return v;
+}
+
+inline std::uint64_t trajectories(std::uint64_t dflt) {
+  return env_count("FMTREE_BENCH_TRAJECTORIES", dflt);
 }
 
 inline smc::AnalysisSettings default_settings(double horizon, std::uint64_t dflt_n,

@@ -1,9 +1,11 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -57,11 +59,18 @@ double parse_double(const std::string& text, const std::string& what) {
   return value;
 }
 
-std::uint64_t parse_count(const std::string& text, const std::string& what) {
-  const double v = parse_double(text, what);
-  if (v < 0 || v != std::floor(v))
-    throw DomainError(what + " must be a nonnegative integer");
-  return static_cast<std::uint64_t>(v);
+// A whole decimal string, parsed exactly: no sign, fraction or exponent, and
+// no value above `max`, the largest the field it sets can hold.
+template <typename T = std::uint64_t>
+T parse_count(const std::string& text, const std::string& what) {
+  constexpr std::uint64_t max = std::numeric_limits<T>::max();
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max)
+    throw DomainError(what + " must be a nonnegative integer no greater than " +
+                      std::to_string(max));
+  return static_cast<T>(v);
 }
 
 std::vector<double> parse_quantiles(const std::string& text) {
@@ -125,7 +134,7 @@ Options parse_args(const std::vector<std::string>& args) {
     else if (flag == "--runs") opt.runs = parse_count(value(), "runs");
     else if (flag == "--seed") opt.seed = parse_count(value(), "seed");
     else if (flag == "--threads")
-      opt.threads = static_cast<unsigned>(parse_count(value(), "threads"));
+      opt.threads = parse_count<unsigned>(value(), "threads");
     else if (flag == "--engine") {
       const std::string& name = value();
       if (name == "scalar") opt.engine = Engine::Scalar;
@@ -149,7 +158,7 @@ Options parse_args(const std::vector<std::string>& args) {
     else if (flag == "--cache-dir") opt.cache_dir = value();
     else if (flag == "--resume") opt.resume = true;
     else if (flag == "--max-retries")
-      opt.max_retries = static_cast<std::uint32_t>(parse_count(value(), "retries"));
+      opt.max_retries = parse_count<std::uint32_t>(value(), "retries");
     else if (flag == "--stall-timeout")
       opt.stall_timeout = parse_double(value(), "stall timeout");
     else if (flag == "--inject-fault") {
@@ -158,14 +167,14 @@ Options parse_args(const std::vector<std::string>& args) {
       opt.inject_faults.push_back(spec);
     }
     else if (flag == "--queue-limit") {
-      opt.queue_limit = static_cast<std::size_t>(parse_count(value(), "queue limit"));
+      opt.queue_limit = parse_count<std::size_t>(value(), "queue limit");
       if (opt.queue_limit == 0) throw DomainError("--queue-limit must be positive");
     }
     else if (flag == "--model-root") opt.model_root = value();
     else if (flag == "--connect") opt.connect = value();
     else if (flag == "--emit-request") opt.emit_request = true;
     else if (flag == "--joints") {
-      opt.joints = static_cast<std::size_t>(parse_count(value(), "joints"));
+      opt.joints = parse_count<std::size_t>(value(), "joints");
       if (opt.joints == 0) throw DomainError("--joints must be positive");
     }
     else if (flag == "--fleet-seed") opt.fleet_seed = parse_count(value(), "fleet seed");
@@ -174,9 +183,9 @@ Options parse_args(const std::vector<std::string>& args) {
     else if (flag == "--spacing-km")
       opt.spacing_km = parse_double(value(), "spacing");
     else if (flag == "--crews")
-      opt.crews = static_cast<std::uint32_t>(parse_count(value(), "crews"));
+      opt.crews = parse_count<std::uint32_t>(value(), "crews");
     else if (flag == "--worst")
-      opt.worst_k = static_cast<std::size_t>(parse_count(value(), "worst count"));
+      opt.worst_k = parse_count<std::size_t>(value(), "worst count");
     else if (flag == "--calibrate") opt.calibrate_path = value();
     else if (flag == "--generate-incidents") opt.generate_incidents_path = value();
     else if (flag == "--observe-years")

@@ -77,6 +77,37 @@ TEST(CliArgs, RejectsBadUsage) {
   EXPECT_THROW(parse_args({"check", "m", "--quantiles", ""}), DomainError);
 }
 
+TEST(CliArgs, SeedsAbove2To53StayDistinct) {
+  // 2^53 and 2^53 + 1 round to the same double.
+  const Options a = parse_args({"analyze", "m", "--seed", "9007199254740992"});
+  const Options b = parse_args({"analyze", "m", "--seed", "9007199254740993"});
+  EXPECT_EQ(a.seed, 9007199254740992u);
+  EXPECT_EQ(b.seed, 9007199254740993u);
+  EXPECT_EQ(parse_args({"analyze", "m", "--seed", "18446744073709551615"}).seed,
+            18446744073709551615u);
+}
+
+TEST(CliArgs, CountsOutOfRangeForTheirFieldThrow) {
+  // 2^32 + 1 would narrow to 1 worker; 2^64 does not fit a uint64_t.
+  EXPECT_THROW(parse_args({"analyze", "m", "--threads", "4294967297"}), DomainError);
+  EXPECT_THROW(parse_args({"analyze", "m", "--runs", "18446744073709551616"}),
+               DomainError);
+  EXPECT_THROW(parse_args({"fleet", "m", "--crews", "4294967296"}), DomainError);
+  EXPECT_THROW(parse_args({"sweep", "m", "--max-retries", "4294967296"}), DomainError);
+  EXPECT_EQ(parse_args({"analyze", "m", "--threads", "4294967295"}).threads,
+            4294967295u);
+}
+
+TEST(CliArgs, CountsMustBePlainDecimal) {
+  EXPECT_THROW(parse_args({"analyze", "m", "--runs", "-1"}), DomainError);
+  EXPECT_THROW(parse_args({"analyze", "m", "--runs", "1e5"}), DomainError);
+  EXPECT_THROW(parse_args({"analyze", "m", "--runs", "1e20"}), DomainError);
+  EXPECT_THROW(parse_args({"analyze", "m", "--runs", "+5"}), DomainError);
+  EXPECT_THROW(parse_args({"analyze", "m", "--runs", " 5"}), DomainError);
+  EXPECT_THROW(parse_args({"analyze", "m", "--runs", ""}), DomainError);
+  EXPECT_THROW(parse_args({"analyze", "m", "--seed", "0x10"}), DomainError);
+}
+
 // ---- Command execution ---------------------------------------------------------
 
 Options opts(Command c, std::uint64_t runs = 2000) {

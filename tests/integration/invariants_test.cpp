@@ -104,7 +104,9 @@ TEST_P(TrajectoryInvariants, Hold) {
     // Downtime bounded by the window and only present with failures.
     ASSERT_GE(r.downtime, 0.0);
     ASSERT_LE(r.downtime, horizon + 1e-9);
-    if (r.downtime > 0) ASSERT_GE(r.failures, 1u);
+    if (r.downtime > 0) {
+      ASSERT_GE(r.failures, 1u);
+    }
     // Costs are nonnegative and discounting never increases them.
     for (double c : {r.cost.inspection, r.cost.repair, r.cost.replacement,
                      r.cost.corrective, r.cost.downtime}) {
@@ -128,9 +130,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllModels, TrajectoryInvariants,
     ::testing::Combine(::testing::ValuesIn(model_names()),
                        ::testing::Values(1u, 777u, 424242u)),
-    [](const ::testing::TestParamInfo<std::tuple<std::string, std::uint64_t>>& info) {
-      std::string name = std::get<0>(info.param) + "_seed" +
-                         std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<std::string, std::uint64_t>>& p) {
+      std::string name = std::get<0>(p.param) + "_seed" +
+                         std::to_string(std::get<1>(p.param));
       for (char& c : name)
         if (c == '-') c = '_';
       return name;

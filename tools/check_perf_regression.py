@@ -14,11 +14,11 @@ Beyond the throughput floor the gate also:
    must report bitwise equivalence, and a run with parallel_threads <= 1
    must carry parallel_measured=false (a 1-worker run is not a parallel
    measurement and is refused as a parallel comparison metric);
- * prints ns/event and speedup deltas of the best candidate against the
-   baseline, so a gate failure comes with per-event attribution;
- * optionally enforces a cross-metric ratio with --min-ratio /
-   --baseline-metric (e.g. batch_traj_per_sec >= 2.0 x the baseline's
-   single_thread_traj_per_sec — the batch-engine acceptance bar).
+ * prints throughput, ns/event and batch_vs_scalar deltas of the best
+   candidate against the baseline, so a gate failure comes with per-event
+   attribution;
+ * with --min-value, replaces the tolerance floor by an outright bar (e.g.
+   batch_vs_scalar >= 2.0, the machine-independent batch-engine bar).
 
 Exit status: 0 = within tolerance, 1 = regression or malformed input.
 """
@@ -50,8 +50,6 @@ DELTA_FIELDS = [
     ("batch_traj_per_sec", "traj/s", "higher"),
     ("ns_per_event", "ns/ev", "lower"),
     ("batch_ns_per_event", "ns/ev", "lower"),
-    ("speedup_single_thread", "x", "higher"),
-    ("speedup_batch", "x", "higher"),
     ("batch_vs_scalar", "x", "higher"),
 ]
 
@@ -126,45 +124,31 @@ def main() -> int:
                         help="model entry to compare (default: ei_joint)")
     parser.add_argument("--metric", default="single_thread_traj_per_sec",
                         help="throughput field (default: single_thread_traj_per_sec)")
-    parser.add_argument("--baseline-metric", default=None,
-                        help="baseline field to compare against "
-                             "(default: same as --metric)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional drop below baseline (default: 0.20)")
-    parser.add_argument("--min-ratio", type=float, default=None,
-                        help="require best candidate >= RATIO x baseline metric "
-                             "instead of the tolerance floor")
     parser.add_argument("--min-value", type=float, default=None,
                         help="require best candidate >= VALUE outright (machine-"
                              "independent bar, e.g. batch_vs_scalar >= 2.0)")
-    parser.add_argument("--no-validate", action="store_true",
-                        help="skip structural validation of candidate files "
-                             "(for gating runs produced by older harnesses)")
     parser.add_argument("candidates", nargs="+",
                         help="candidate run JSON files; best of them is used")
     args = parser.parse_args()
     if not 0 <= args.tolerance < 1:
         raise SystemExit("error: --tolerance must lie in [0, 1)")
-    if args.min_ratio is not None and args.min_ratio <= 0:
-        raise SystemExit("error: --min-ratio must be positive")
-    baseline_metric = args.baseline_metric or args.metric
 
     baseline_doc = load_doc(args.baseline)
     baseline_entry = model_entry(baseline_doc, args.baseline, args.model)
-    baseline = metric_value(baseline_entry, args.baseline, args.model,
-                            baseline_metric)
+    baseline = metric_value(baseline_entry, args.baseline, args.model, args.metric)
 
     runs = []
     problems = []
     for path in args.candidates:
         entry = model_entry(load_doc(path), path, args.model)
-        if not args.no_validate:
-            problems += validate_entry(entry, path, args.model)
-            if args.metric.startswith("parallel") and not entry.get("parallel_measured"):
-                problems.append(
-                    f"{path}: {args.model}: refusing '{args.metric}' as a gate "
-                    f"metric — run used {entry.get('parallel_threads')} worker(s), "
-                    f"which is not a parallel measurement")
+        problems += validate_entry(entry, path, args.model)
+        if args.metric.startswith("parallel") and not entry.get("parallel_measured"):
+            problems.append(
+                f"{path}: {args.model}: refusing '{args.metric}' as a gate "
+                f"metric — run used {entry.get('parallel_threads')} worker(s), "
+                f"which is not a parallel measurement")
         runs.append((path, entry,
                      metric_value(entry, path, args.model, args.metric)))
 
@@ -177,25 +161,22 @@ def main() -> int:
     if args.min_value is not None:
         floor = args.min_value
         bar = f">= {args.min_value:g} outright"
-    elif args.min_ratio is not None:
-        floor = baseline * args.min_ratio
-        bar = f"{args.min_ratio:g}x {baseline_metric}"
     else:
         floor = baseline * (1.0 - args.tolerance)
         bar = f"-{args.tolerance:.0%}"
 
-    print(f"baseline {args.model}.{baseline_metric}: {baseline:.0f} "
-          f"(floor at {bar}: {floor:.0f})")
+    print(f"baseline {args.model}.{args.metric}: {baseline:.6g} "
+          f"(floor at {bar}: {floor:.6g})")
     for path, _, value in runs:
         marker = " <-- best" if path == best_path else ""
-        print(f"  {path}: {args.metric} = {value:.0f} "
+        print(f"  {path}: {args.metric} = {value:.6g} "
               f"({value / baseline - 1.0:+.1%} vs baseline){marker}")
     print(f"deltas ({best_path} vs {args.baseline}):")
     print_deltas(baseline_entry, best_entry)
 
     if best < floor:
-        print(f"FAIL: best run {best:.0f} is below the bar of {floor:.0f} "
-              f"({bar} of baseline {baseline:.0f})", file=sys.stderr)
+        print(f"FAIL: best run {best:.6g} is below the bar of {floor:.6g} "
+              f"({bar} of baseline {baseline:.6g})", file=sys.stderr)
         return 1
     print("OK: within tolerance")
     return 0
