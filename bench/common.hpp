@@ -3,15 +3,15 @@
 // paper reports. Sample counts can be scaled with FMTREE_BENCH_TRAJECTORIES.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
-#include <string_view>
 
 #include "smc/kpi.hpp"
+#include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace fmtree::bench {
@@ -25,15 +25,13 @@ inline std::uint64_t env_count(
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return dflt;
-  const std::string_view text(env);
-  std::uint64_t v = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc() || end != text.data() + text.size() || v == 0 || v > max) {
-    std::cerr << "error: " << name << "='" << text << "' must be an integer in [1, "
+  const std::optional<std::uint64_t> v = parse_count(env, max);
+  if (!v || *v == 0) {
+    std::cerr << "error: " << name << "='" << env << "' must be an integer in [1, "
               << max << "]\n";
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 inline std::uint64_t trajectories(std::uint64_t dflt) {

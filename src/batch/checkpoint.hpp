@@ -19,13 +19,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace fmtree::batch {
 
 struct SweepPlan;
-struct SweepOutcome;
+struct JobResult;
 
 /// One job's durable status in the manifest.
 struct CheckpointEntry {
@@ -58,11 +59,11 @@ std::string encode_checkpoint(const SweepCheckpoint& cp);
 /// Throws IoError on malformed input or an unknown schema.
 SweepCheckpoint decode_checkpoint(const std::string& text);
 
-/// Builds the manifest for `plan` as witnessed by `outcome` and publishes it
-/// atomically at `path`. Best-effort: returns false (and changes nothing
-/// durable) on I/O failure.
+/// Builds the manifest for `plan` as witnessed by `results` (plan order; a
+/// job without a result is pending) and publishes it atomically at `path`.
+/// Best-effort: returns false (and changes nothing durable) on I/O failure.
 bool write_checkpoint(const std::string& path, const SweepPlan& plan,
-                      const SweepOutcome& outcome);
+                      std::span<const JobResult> results);
 
 /// Reads the manifest at `path`. Returns nullopt when the file does not
 /// exist; throws IoError when it exists but cannot be parsed.

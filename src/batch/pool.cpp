@@ -520,7 +520,7 @@ bool TrajectoryPool::finish_job(Job& job) {
     }
   }
   if (job.cancel_requested()) {
-    job.result.cancelled = true;
+    job.result.state = JobState::Cancelled;
   } else {
     const smc::StopReason stop = job.stop.load(std::memory_order_acquire);
     job.reason = stop != smc::StopReason::None ? stop : smc::StopReason::Interrupted;
@@ -554,7 +554,7 @@ void TrajectoryPool::aggregate(Job& job) {
   agg.telemetry = options_.telemetry;
   try {
     result.report = smc::aggregate_kpis({job.summaries.get(), job.end}, job.batch, agg);
-    result.completed = true;
+    result.state = JobState::Done;
     if (options_.cache != nullptr) options_.cache->put(result.key, result.report);
     metrics_->add(metrics_->jobs_simulated);
   } catch (const std::exception& e) {
@@ -589,11 +589,11 @@ void TrajectoryPool::heal(Job& job) {
     // Per-job cancel beats both healing and failure accounting: the caller
     // already hung up, so neither a retry nor a failure record is owed.
     if (job.cancel_requested()) {
-      result.cancelled = true;
+      result.state = JobState::Cancelled;
       return;
     }
     if (!result.failure.transient || result.retries >= options_.max_retries) {
-      result.failed = true;
+      result.state = JobState::Failed;
       metrics_->add(metrics_->job_failures);
       return;
     }
@@ -621,7 +621,7 @@ void TrajectoryPool::heal(Job& job) {
         return;
       }
       result.report = std::move(report);
-      result.completed = true;
+      result.state = JobState::Done;
       if (options_.cache != nullptr) options_.cache->put(result.key, result.report);
       metrics_->add(metrics_->jobs_simulated);
       return;

@@ -68,8 +68,7 @@ struct PoolOptions {
 class TrajectoryPool {
 public:
   /// Receives a resolved job on the finisher thread. The StopReason is why
-  /// the job stopped early when it is neither completed, failed nor
-  /// cancelled; None otherwise.
+  /// the job stopped early when it resolved Interrupted; None otherwise.
   using Done = std::function<void(JobResult, smc::StopReason)>;
 
   explicit TrajectoryPool(PoolOptions options);

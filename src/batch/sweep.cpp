@@ -6,6 +6,16 @@
 
 namespace fmtree::batch {
 
+const char* job_state_name(JobState s) noexcept {
+  switch (s) {
+    case JobState::Done: return "done";
+    case JobState::Failed: return "failed";
+    case JobState::Cancelled: return "cancelled";
+    case JobState::Interrupted: return "interrupted";
+  }
+  return "?";
+}
+
 SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
                        const obs::Telemetry& telemetry) {
   if (!(plan.chunk > 0)) throw DomainError("sweep chunk must be positive");
@@ -34,7 +44,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     if (cache != nullptr) {
       if (std::optional<smc::KpiReport> hit = cache->get(result.key)) {
         result.report = *std::move(hit);
-        result.completed = true;
+        result.state = JobState::Done;
         result.cache_hit = true;
         ++outcome.cache_hits;
         pool.count_cache_hit();
@@ -54,8 +64,8 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   outcome.trajectories_simulated = pool.trajectories_simulated();
   for (const JobResult& result : outcome.results) {
     outcome.retries += result.retries;
-    if (result.failed) ++outcome.jobs_failed;
-    if (!result.completed && !result.failed) outcome.truncated = true;
+    if (result.state == JobState::Failed) ++outcome.jobs_failed;
+    else if (result.state != JobState::Done) outcome.truncated = true;
   }
   outcome.warnings = pool.take_warnings();
   return outcome;

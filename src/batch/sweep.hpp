@@ -26,7 +26,7 @@
 //
 // Self-healing (DESIGN.md, "Failure semantics"): a job that throws mid-run —
 // an injected I/O error, a resource cap, a NaN-poisoned aggregate — becomes a
-// structured per-job failure record (JobResult::failed + JobFailure) while
+// structured per-job failure record (JobState::Failed + JobFailure) while
 // the rest of the plan completes. Transient failure classes (I/O, injected
 // faults) are retried up to SweepPlan::max_retries times with bounded
 // exponential backoff; the retry path is a plain smc::analyze, which is
@@ -65,8 +65,8 @@ struct SweepPlan {
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 0;
   /// Polled between trajectories. On a stop, jobs whose trajectories all
-  /// completed still deliver exact reports; interrupted jobs are returned
-  /// with completed == false.
+  /// completed still deliver exact reports; the others are returned
+  /// Interrupted.
   const smc::RunControl* control = nullptr;
   /// Retry budget for jobs that failed with a *transient* class (I/O errors,
   /// injected faults): up to this many re-runs after the first attempt.
@@ -93,23 +93,30 @@ struct JobFailure {
   std::uint32_t attempts = 0;  ///< total attempts (first run + retries)
 };
 
+/// How a job resolved. Every executor (run_sweep, serve::Session, the
+/// socket client) reports a job in exactly one of these states.
+enum class JobState : std::uint8_t {
+  Done,         ///< report is valid (simulated or from cache)
+  Failed,       ///< permanent failure; `failure` says why
+  Cancelled,    ///< TrajectoryPool::cancel stopped it before it completed
+  Interrupted,  ///< a plan or service stop came before it completed
+};
+
+/// The wire spelling: "done", "failed", "cancelled", "interrupted".
+const char* job_state_name(JobState s) noexcept;
+
 struct JobResult {
   std::string label;
   CacheKey key;
-  bool completed = false;  ///< report is valid (simulated or from cache)
+  /// Interrupted until the job resolves. A one-shot run_sweep never
+  /// cancels single jobs.
+  JobState state = JobState::Interrupted;
   bool cache_hit = false;
-  /// True when the job threw and exhausted (or was ineligible for) retries;
-  /// `failure` then describes why. failed and completed are exclusive.
-  bool failed = false;
+  /// Valid when state == Failed: the class and message of the last attempt.
   JobFailure failure;
   /// Retry attempts spent on this job (0 when the first attempt succeeded).
   std::uint32_t retries = 0;
-  /// True when TrajectoryPool::cancel stopped the job before it completed
-  /// (a one-shot run_sweep never cancels single jobs). Cancelled jobs are
-  /// neither failures nor plan truncation: completed, failed and cancelled
-  /// are mutually exclusive.
-  bool cancelled = false;
-  smc::KpiReport report;
+  smc::KpiReport report;  ///< valid when state == Done
 };
 
 struct SweepOutcome {

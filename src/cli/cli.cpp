@@ -1,7 +1,6 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -36,6 +35,7 @@
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace fmtree::cli {
@@ -59,18 +59,15 @@ double parse_double(const std::string& text, const std::string& what) {
   return value;
 }
 
-// A whole decimal string, parsed exactly: no sign, fraction or exponent, and
-// no value above `max`, the largest the field it sets can hold.
+// A count flag, no greater than the largest value the field it sets can hold.
 template <typename T = std::uint64_t>
 T parse_count(const std::string& text, const std::string& what) {
   constexpr std::uint64_t max = std::numeric_limits<T>::max();
-  std::uint64_t v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end || v > max)
+  const std::optional<std::uint64_t> v = fmtree::parse_count(text, max);
+  if (!v)
     throw DomainError(what + " must be a nonnegative integer no greater than " +
                       std::to_string(max));
-  return static_cast<T>(v);
+  return static_cast<T>(*v);
 }
 
 std::vector<double> parse_quantiles(const std::string& text) {
@@ -556,24 +553,61 @@ int render_sweep_response(const Options& opt, const serve::Response& o,
   return jobs_failed > 0 ? kExitTruncated : kExitOk;
 }
 
-/// Reconstructs the SweepOutcome shape the checkpoint writer expects from a
-/// Response (jobs arrive in plan order, carrying the same cache keys).
-batch::SweepOutcome outcome_for_checkpoint(const serve::Response& response) {
-  batch::SweepOutcome outcome;
-  outcome.results.reserve(response.jobs.size());
-  for (const serve::JobOutcome& job : response.jobs) {
-    batch::JobResult r;
-    r.label = job.label;
-    r.key = job.key;
-    r.completed = job.state == serve::JobState::Done;
-    r.failed = job.state == serve::JobState::Failed;
-    r.cancelled = job.state == serve::JobState::Cancelled;
-    r.cache_hit = job.cache_hit;
-    r.retries = job.retries;
-    r.failure = job.failure;
-    outcome.results.push_back(std::move(r));
+/// The service settings the CLI flags set, shared by `serve` and the
+/// in-process sweep and fleet.
+serve::SessionConfig session_config(const Options& opt,
+                                    const obs::Telemetry& telemetry) {
+  serve::SessionConfig config;
+  config.threads = opt.threads;
+  config.queue_limit = opt.queue_limit;
+  config.cache_dir = opt.cache_dir;
+  config.model_root = opt.model_root;
+  config.max_retries = opt.max_retries;
+  config.stall_timeout_s = opt.stall_timeout;
+  config.telemetry = telemetry;
+  return config;
+}
+
+/// Runs `request` on the daemon at --connect; daemon progress events feed
+/// the local --progress reporter.
+serve::Response run_on_daemon(const Options& opt, const serve::Request& request,
+                              const obs::Telemetry& telemetry) {
+  serve::ClientEvents events;
+  if (telemetry.progress != nullptr) {
+    events.progress = [&telemetry](const obs::Progress& p) {
+      telemetry.progress->update(p);
+    };
   }
-  return outcome;
+  return serve::request_over_socket(opt.connect, request, events);
+}
+
+/// Runs prepared jobs in-process: the daemon's service entry points minus
+/// the socket, so identical jobs of one request still simulate once. The
+/// CLI's control (SIGINT / --timeout) is bridged by the wait loop; the
+/// Session's drain stops every job at the next trajectory boundary.
+serve::Response run_in_process(const Options& opt, std::vector<batch::SweepJob> jobs,
+                               const obs::Telemetry& telemetry) {
+  smc::RunControl& control = interrupt_control();
+  control.reset();
+  if (opt.timeout > 0) control.set_timeout(opt.timeout);
+  serve::SessionConfig config = session_config(opt, telemetry);
+  config.queue_limit = std::max(config.queue_limit, jobs.size());
+  serve::Session session(std::move(config));
+  serve::Ticket ticket = session.submit_jobs(std::move(jobs));
+  while (!ticket.wait_for(0.05)) {
+    if (control.should_stop(0) != smc::StopReason::None) {
+      session.drain();  // resolves every ticket at the trajectory boundary
+      break;
+    }
+  }
+  serve::Response response = ticket.take();
+  // The drain path reports Interrupted; the control knows the precise reason
+  // (deadline vs signal), so prefer it for the truncation NOTE.
+  const smc::StopReason local_reason = control.should_stop(0);
+  if (response.stop_reason != smc::StopReason::None &&
+      local_reason != smc::StopReason::None)
+    response.stop_reason = local_reason;
+  return response;
 }
 
 int cmd_sweep(const Options& opt, const fmt::FaultMaintenanceTree& model,
@@ -592,35 +626,16 @@ int cmd_sweep(const Options& opt, const fmt::FaultMaintenanceTree& model,
     return kExitOk;
   }
 
-  if (!opt.connect.empty()) {
-    serve::ClientEvents events;
-    if (telemetry.progress != nullptr) {
-      events.progress = [&telemetry](const obs::Progress& p) {
-        telemetry.progress->update(p);
-      };
-    }
-    const serve::Response response =
-        serve::request_over_socket(opt.connect, request, events);
-    return render_sweep_response(opt, response, /*show_cache_line=*/false, out);
-  }
+  if (!opt.connect.empty())
+    return render_sweep_response(opt, run_on_daemon(opt, request, telemetry),
+                                 /*show_cache_line=*/false, out);
 
-  // In-process: the same expansion and service entry points as the daemon,
-  // minus the socket. The per-plan control (SIGINT / --timeout) is bridged
-  // by the wait loop below; the Session's own drain path delivers the same
-  // trajectory-boundary truncation run_sweep always had.
   serve::PreparedRequest prepared = serve::prepare(request, opt.model_root);
 
-  // The checkpoint manifest still wants a SweepPlan (for the plan id and the
-  // job list); build it from the same prepared jobs the service will run.
+  // The checkpoint manifest names the plan by its jobs: the same prepared
+  // jobs the service will run.
   batch::SweepPlan plan;
-  plan.threads = opt.threads;
-  plan.max_retries = opt.max_retries;
-  plan.stall_timeout_s = opt.stall_timeout;
   plan.jobs = prepared.jobs;
-
-  smc::RunControl& control = interrupt_control();
-  control.reset();
-  if (opt.timeout > 0) control.set_timeout(opt.timeout);
 
   // --resume: consult the checkpoint manifest before running. The cache is
   // what actually replays completed jobs bit-identically; the manifest adds
@@ -660,35 +675,14 @@ int cmd_sweep(const Options& opt, const fmt::FaultMaintenanceTree& model,
     }
   }
 
-  serve::SessionConfig config;
-  config.threads = opt.threads;
-  config.queue_limit = std::max(opt.queue_limit, prepared.jobs.size());
-  config.cache_dir = opt.cache_dir;
-  config.model_root = opt.model_root;
-  config.max_retries = opt.max_retries;
-  config.stall_timeout_s = opt.stall_timeout;
-  config.telemetry = telemetry;
-  serve::Session session(std::move(config));
-  serve::Ticket ticket = session.submit_jobs(std::move(prepared.jobs));
-  while (!ticket.wait_for(0.05)) {
-    if (control.should_stop(0) != smc::StopReason::None) {
-      session.drain();  // resolves every ticket at the trajectory boundary
-      break;
-    }
-  }
-  serve::Response response = ticket.take();
-  // The drain path reports Interrupted; the control knows the precise reason
-  // (deadline vs signal), so prefer it for the truncation NOTE.
-  const smc::StopReason local_reason = control.should_stop(0);
-  if (response.stop_reason != smc::StopReason::None &&
-      local_reason != smc::StopReason::None)
-    response.stop_reason = local_reason;
+  const serve::Response response =
+      run_in_process(opt, std::move(prepared.jobs), telemetry);
 
   // Publish the manifest for the *next* --resume whenever a cache exists —
   // also after a truncated run, which is exactly when resume matters.
   if (!opt.cache_dir.empty())
     batch::write_checkpoint(batch::checkpoint_path(opt.cache_dir), plan,
-                            outcome_for_checkpoint(response));
+                            response.jobs);
 
   return render_sweep_response(opt, response,
                                /*show_cache_line=*/!opt.cache_dir.empty(), out);
@@ -726,42 +720,6 @@ fleet::CorridorSpec fleet_spec(const Options& opt) {
   spec.coupling = opt.coupling;
   spec.spacing_km = opt.spacing_km;
   return spec;
-}
-
-/// Folds a served/in-process Response (jobs in corridor order) into the same
-/// FleetOutcome shape fleet::analyze_fleet produces, so both executors render
-/// identically and aggregate through the same exact sums.
-fleet::FleetOutcome fleet_outcome_from_response(
-    const fleet::Corridor& corridor, const serve::Response& response,
-    const fleet::FleetOptions& options) {
-  fleet::FleetOutcome o;
-  o.warnings = response.warnings;
-  o.truncated = response.count(serve::JobState::Interrupted) > 0;
-  o.joints.reserve(corridor.joints.size());
-  for (std::size_t i = 0; i < corridor.joints.size(); ++i) {
-    fleet::JointSummary s;
-    s.name = corridor.joints[i].name;
-    s.scale = corridor.joints[i].scale;
-    if (i < response.jobs.size()) {
-      const serve::JobOutcome& job = response.jobs[i];
-      if (job.state == serve::JobState::Done) {
-        s.report = job.report;
-        job.cache_hit ? ++o.cache_hits : ++o.cache_misses;
-      } else if (job.state == serve::JobState::Failed) {
-        ++o.jobs_failed;
-        Diagnostic d;
-        d.severity = Severity::Warning;
-        d.code = "F101";
-        d.message = "fleet shard '" + s.name + "' failed [" + job.failure.kind +
-                    "]: " + job.failure.message;
-        d.hint = "the joint is excluded from the corridor aggregates";
-        o.warnings.push_back(std::move(d));
-      }
-    }
-    o.joints.push_back(std::move(s));
-  }
-  o.kpis = fleet::aggregate_fleet(corridor, o.joints, options);
-  return o;
 }
 
 int render_fleet(const Options& opt, const fleet::Corridor& corridor,
@@ -873,9 +831,6 @@ int cmd_fleet(const Options& opt, const fmt::FaultMaintenanceTree& model,
   options.settings = request.settings;
   options.resources.crews = opt.crews;
   options.worst_k = opt.worst_k;
-  options.threads = opt.threads;
-  options.max_retries = opt.max_retries;
-  options.stall_timeout_s = opt.stall_timeout;
   if (!request.scripts.empty()) {
     // The jobs get the compiled policy through prepare(); this copy only
     // feeds the render-side budget KPI of the aggregator.
@@ -887,68 +842,18 @@ int cmd_fleet(const Options& opt, const fmt::FaultMaintenanceTree& model,
         std::make_shared<const lang::CompiledPolicy>(*std::move(compiled));
   }
 
-  const auto finish = [&](const serve::Response& response, bool show_cache) {
-    const fleet::FleetOutcome o =
-        fleet_outcome_from_response(corridor, response, options);
-    if (telemetry.metrics != nullptr) {
-      obs::MetricsRegistry& m = *telemetry.metrics;
-      m.add(m.counter("fleet.joints"), corridor.joints.size());
-      m.add(m.counter("fleet.cache_hits"), o.cache_hits);
-      m.add(m.counter("fleet.cache_misses"), o.cache_misses);
-      m.add(m.counter("fleet.jobs_failed"), o.jobs_failed);
-    }
-    return render_fleet(opt, corridor, o, show_cache, out);
-  };
-
-  if (!opt.connect.empty()) {
-    serve::ClientEvents events;
-    if (telemetry.progress != nullptr) {
-      events.progress = [&telemetry](const obs::Progress& p) {
-        telemetry.progress->update(p);
-      };
-    }
-    const serve::Response response =
-        serve::request_over_socket(opt.connect, request, events);
-    return finish(response, /*show_cache=*/false);
-  }
-
-  // In-process: the same expansion and service entry points as the daemon,
-  // minus the socket (the cmd_sweep pattern).
-  serve::PreparedRequest prepared = serve::prepare(request, opt.model_root);
-  smc::RunControl& control = interrupt_control();
-  control.reset();
-  if (opt.timeout > 0) control.set_timeout(opt.timeout);
-
-  serve::SessionConfig config;
-  config.threads = opt.threads;
-  config.queue_limit = std::max(opt.queue_limit, prepared.jobs.size());
-  config.cache_dir = opt.cache_dir;
-  config.model_root = opt.model_root;
-  config.max_retries = opt.max_retries;
-  config.stall_timeout_s = opt.stall_timeout;
-  config.telemetry = telemetry;
-  serve::Session session(std::move(config));
-  serve::Ticket ticket = session.submit_jobs(std::move(prepared.jobs));
-  while (!ticket.wait_for(0.05)) {
-    if (control.should_stop(0) != smc::StopReason::None) {
-      session.drain();
-      break;
-    }
-  }
-  const serve::Response response = ticket.take();
-  return finish(response, /*show_cache=*/!opt.cache_dir.empty());
+  const bool local = opt.connect.empty();
+  serve::Response response =
+      local ? run_in_process(opt, serve::prepare(request, opt.model_root).jobs, telemetry)
+            : run_on_daemon(opt, request, telemetry);
+  const fleet::FleetOutcome o = fleet::fold_fleet(
+      corridor, response.jobs, std::move(response.warnings), options, telemetry);
+  return render_fleet(opt, corridor, o,
+                      /*show_cache_line=*/local && !opt.cache_dir.empty(), out);
 }
 
 int cmd_serve(const Options& opt, std::ostream& out, obs::Telemetry telemetry) {
-  serve::SessionConfig config;
-  config.threads = opt.threads;
-  config.queue_limit = opt.queue_limit;
-  config.cache_dir = opt.cache_dir;
-  config.model_root = opt.model_root;
-  config.max_retries = opt.max_retries;
-  config.stall_timeout_s = opt.stall_timeout;
-  config.telemetry = telemetry;
-  serve::Session session(std::move(config));
+  serve::Session session(session_config(opt, telemetry));
 
   // SIGINT/SIGTERM (wired in main()) and --timeout stop the accept loop;
   // Server::run then drains the session and joins every connection.

@@ -87,34 +87,35 @@ FleetKpis aggregate_fleet(const Corridor& corridor,
   return kpis;
 }
 
-FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options,
-                           batch::ResultCache* cache,
-                           const obs::Telemetry& telemetry) {
-  const batch::SweepPlan plan = fleet_plan(corridor, options);
-  const batch::SweepOutcome outcome = batch::run_sweep(plan, cache, telemetry);
-
+FleetOutcome fold_fleet(const Corridor& corridor,
+                        std::span<const batch::JobResult> jobs,
+                        std::vector<Diagnostic> warnings,
+                        const FleetOptions& options,
+                        const obs::Telemetry& telemetry) {
   FleetOutcome fleet;
-  fleet.cache_hits = outcome.cache_hits;
-  fleet.cache_misses = outcome.cache_misses;
-  fleet.jobs_failed = outcome.jobs_failed;
-  fleet.truncated = outcome.truncated;
-  fleet.warnings = outcome.warnings;
+  fleet.warnings = std::move(warnings);
   fleet.joints.reserve(corridor.joints.size());
   for (std::size_t i = 0; i < corridor.joints.size(); ++i) {
     JointSummary summary;
     summary.name = corridor.joints[i].name;
     summary.scale = corridor.joints[i].scale;
-    if (i < outcome.results.size() && outcome.results[i].completed) {
-      summary.report = outcome.results[i].report;
-    } else if (i < outcome.results.size() && outcome.results[i].failed) {
-      Diagnostic d;
-      d.severity = Severity::Warning;
-      d.code = "F101";
-      d.message = "fleet shard '" + summary.name + "' failed [" +
-                  outcome.results[i].failure.kind +
-                  "]: " + outcome.results[i].failure.message;
-      d.hint = "the joint is excluded from the corridor aggregates";
-      fleet.warnings.push_back(std::move(d));
+    if (i < jobs.size()) {
+      const batch::JobResult& job = jobs[i];
+      if (job.state == batch::JobState::Done) {
+        summary.report = job.report;
+        ++(job.cache_hit ? fleet.cache_hits : fleet.cache_misses);
+      } else if (job.state == batch::JobState::Failed) {
+        ++fleet.jobs_failed;
+        Diagnostic d;
+        d.severity = Severity::Warning;
+        d.code = "F101";
+        d.message = "fleet shard '" + summary.name + "' failed [" +
+                    job.failure.kind + "]: " + job.failure.message;
+        d.hint = "the joint is excluded from the corridor aggregates";
+        fleet.warnings.push_back(std::move(d));
+      } else {
+        fleet.truncated = true;
+      }
     }
     fleet.joints.push_back(std::move(summary));
   }
@@ -128,6 +129,15 @@ FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options
     m.add(m.counter("fleet.jobs_failed"), fleet.jobs_failed);
   }
   return fleet;
+}
+
+FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options,
+                           batch::ResultCache* cache,
+                           const obs::Telemetry& telemetry) {
+  batch::SweepOutcome outcome =
+      batch::run_sweep(fleet_plan(corridor, options), cache, telemetry);
+  return fold_fleet(corridor, outcome.results, std::move(outcome.warnings),
+                    options, telemetry);
 }
 
 }  // namespace fmtree::fleet

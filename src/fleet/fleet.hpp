@@ -95,10 +95,10 @@ struct FleetOutcome {
   std::vector<JointSummary> joints;  ///< corridor order; failed shards keep
                                      ///< their name with a default report
   FleetKpis kpis;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  std::uint64_t cache_hits = 0;    ///< done shards read from the cache
+  std::uint64_t cache_misses = 0;  ///< done shards simulated
   std::uint64_t jobs_failed = 0;
-  bool truncated = false;
+  bool truncated = false;  ///< some shard was interrupted or cancelled
   std::vector<Diagnostic> warnings;
 };
 
@@ -113,10 +113,19 @@ FleetKpis aggregate_fleet(const Corridor& corridor,
                           std::span<const JointSummary> summaries,
                           const FleetOptions& options);
 
-/// Runs the corridor through the shared pool and aggregates. Failed shards
-/// become warnings (code F101) and are excluded from the aggregates. Emits
-/// fleet.* counters (joints, cache_hits, cache_misses, jobs_failed) on the
-/// telemetry metrics sink.
+/// Folds the corridor's resolved shards (corridor order, whatever executed
+/// them: run_sweep, serve::Session or the daemon client) into a
+/// FleetOutcome. Failed shards become warnings (code F101) appended to
+/// `warnings` and are excluded from the aggregates. Emits the fleet.*
+/// counters (joints, cache_hits, cache_misses, jobs_failed) on the telemetry
+/// metrics sink.
+FleetOutcome fold_fleet(const Corridor& corridor,
+                        std::span<const batch::JobResult> jobs,
+                        std::vector<Diagnostic> warnings,
+                        const FleetOptions& options,
+                        const obs::Telemetry& telemetry = {});
+
+/// Runs the corridor through the shared pool and folds it (fold_fleet).
 FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options,
                            batch::ResultCache* cache = nullptr,
                            const obs::Telemetry& telemetry = {});

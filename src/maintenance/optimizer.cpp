@@ -19,40 +19,40 @@ void count_evaluation(const smc::AnalysisSettings& settings) {
     metrics->add(metrics->counter("optimizer.evaluations"));
 }
 
-}  // namespace
+batch::SweepJob candidate_job(std::string label, fmt::FaultMaintenanceTree model,
+                              const smc::AnalysisSettings& settings) {
+  batch::SweepJob job{std::move(label), std::move(model), settings};
+  job.settings.control = nullptr;  // interruption is plan-level
+  job.settings.telemetry = {};     // instrumentation too
+  return job;
+}
 
-SweepResult sweep_policies(const ModelFactory& factory,
-                           const std::vector<MaintenancePolicy>& candidates,
+/// Runs one job per candidate on one pool and folds the results, in
+/// candidate order, into the cost curve.
+SweepResult run_candidates(std::vector<MaintenancePolicy> policies,
+                           std::vector<batch::SweepJob> jobs,
                            const smc::AnalysisSettings& settings,
                            batch::ResultCache* cache) {
-  if (candidates.empty()) throw DomainError("policy sweep needs candidates");
   batch::SweepPlan plan;
   plan.threads = settings.threads;
   plan.control = settings.control;
-  plan.jobs.reserve(candidates.size());
-  for (const MaintenancePolicy& policy : candidates) {
-    batch::SweepJob job;
-    job.label = policy.name;
-    job.model = factory(policy);
-    job.settings = settings;
-    job.settings.control = nullptr;    // interruption is plan-level
-    job.settings.telemetry = {};       // instrumentation too
-    plan.jobs.push_back(std::move(job));
-  }
+  plan.jobs = std::move(jobs);
   batch::SweepOutcome outcome = batch::run_sweep(plan, cache, settings.telemetry);
 
   SweepResult result;
-  result.curve.reserve(candidates.size());
+  result.curve.reserve(policies.size());
   bool have_best = false;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  for (std::size_t i = 0; i < policies.size(); ++i) {
     batch::JobResult& job = outcome.results[i];
-    if (!job.completed) {
+    const bool done = job.state == batch::JobState::Done;
+    if (!done) {
       job.report.truncated = true;
       job.report.stop_reason = outcome.stop_reason;
     }
-    result.curve.push_back(PolicyEvaluation{candidates[i], std::move(job.report)});
+    result.curve.push_back(
+        PolicyEvaluation{std::move(policies[i]), std::move(job.report)});
     count_evaluation(settings);
-    if (job.completed &&
+    if (done &&
         (!have_best || result.curve[i].cost_per_year() <
                            result.curve[result.best_index].cost_per_year())) {
       result.best_index = i;
@@ -62,50 +62,35 @@ SweepResult sweep_policies(const ModelFactory& factory,
   return result;
 }
 
+}  // namespace
+
+SweepResult sweep_policies(const ModelFactory& factory,
+                           const std::vector<MaintenancePolicy>& candidates,
+                           const smc::AnalysisSettings& settings,
+                           batch::ResultCache* cache) {
+  if (candidates.empty()) throw DomainError("policy sweep needs candidates");
+  std::vector<batch::SweepJob> jobs;
+  jobs.reserve(candidates.size());
+  for (const MaintenancePolicy& policy : candidates)
+    jobs.push_back(candidate_job(policy.name, factory(policy), settings));
+  return run_candidates(candidates, std::move(jobs), settings, cache);
+}
+
 SweepResult sweep_policies(
     const fmt::FaultMaintenanceTree& model,
     const std::vector<std::shared_ptr<const lang::CompiledPolicy>>& scripts,
     const smc::AnalysisSettings& settings, batch::ResultCache* cache) {
   if (scripts.empty()) throw DomainError("policy sweep needs candidates");
-  batch::SweepPlan plan;
-  plan.threads = settings.threads;
-  plan.control = settings.control;
-  plan.jobs.reserve(scripts.size());
-  for (const std::shared_ptr<const lang::CompiledPolicy>& script : scripts) {
-    if (script == nullptr) throw DomainError("scripted candidate is null");
-    batch::SweepJob job;
-    job.label = script->name;
-    job.model = model;
-    job.settings = settings;
-    job.settings.policy = script;
-    job.settings.control = nullptr;    // interruption is plan-level
-    job.settings.telemetry = {};       // instrumentation too
-    plan.jobs.push_back(std::move(job));
-  }
-  batch::SweepOutcome outcome = batch::run_sweep(plan, cache, settings.telemetry);
-
-  SweepResult result;
-  result.curve.reserve(scripts.size());
-  bool have_best = false;
+  std::vector<MaintenancePolicy> labels(scripts.size());
+  std::vector<batch::SweepJob> jobs;
+  jobs.reserve(scripts.size());
   for (std::size_t i = 0; i < scripts.size(); ++i) {
-    batch::JobResult& job = outcome.results[i];
-    if (!job.completed) {
-      job.report.truncated = true;
-      job.report.stop_reason = outcome.stop_reason;
-    }
-    MaintenancePolicy label_only;
-    label_only.name = scripts[i]->name;
-    result.curve.push_back(
-        PolicyEvaluation{std::move(label_only), std::move(job.report)});
-    count_evaluation(settings);
-    if (job.completed &&
-        (!have_best || result.curve[i].cost_per_year() <
-                           result.curve[result.best_index].cost_per_year())) {
-      result.best_index = i;
-      have_best = true;
-    }
+    if (scripts[i] == nullptr) throw DomainError("scripted candidate is null");
+    labels[i].name = scripts[i]->name;
+    jobs.push_back(candidate_job(scripts[i]->name, model, settings));
+    jobs.back().settings.policy = scripts[i];
   }
-  return result;
+  return run_candidates(std::move(labels), std::move(jobs), settings, cache);
 }
 
 std::vector<MaintenancePolicy> inspection_frequency_candidates(

@@ -8,6 +8,7 @@
 #include "fleet/fleet.hpp"
 #include "fmt/parser.hpp"
 #include "lang/runtime.hpp"
+#include "util/format.hpp"
 #include "util/json.hpp"
 
 namespace fmtree::serve {
@@ -51,11 +52,15 @@ double parse_number(const json::Value& v, const std::string& what) {
   invalid("request field '" + what + "' must be a number or hexfloat string");
 }
 
+/// Schema integers: a JSON number token holding a whole decimal, decoded
+/// exactly (never through a double).
 std::uint64_t parse_count(const json::Value& v, const std::string& what) {
-  const double d = parse_number(v, what);
-  if (!(d >= 0) || d != std::floor(d))
-    invalid("request field '" + what + "' must be a nonnegative integer");
-  return static_cast<std::uint64_t>(d);
+  const std::optional<std::uint64_t> n =
+      v.is(json::Kind::Number) ? fmtree::parse_count(v.text) : std::nullopt;
+  if (!n)
+    invalid("request field '" + what + "' must be a nonnegative integer no "
+            "greater than 18446744073709551615");
+  return *n;
 }
 
 void reject_unknown_members(const json::Value& object, const char* where,

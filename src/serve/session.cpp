@@ -46,40 +46,6 @@ struct ServeMetrics {
 using detail::JobEntry;
 using detail::ServeMetrics;
 
-namespace {
-
-JobOutcome outcome_from(batch::JobResult r) {
-  JobOutcome o;
-  o.label = r.label;
-  o.key = r.key;
-  o.cache_hit = r.cache_hit;
-  o.retries = r.retries;
-  if (r.completed) {
-    o.state = JobState::Done;
-    o.report = std::move(r.report);
-  } else if (r.failed) {
-    o.state = JobState::Failed;
-    o.failure = r.failure;
-  } else if (r.cancelled) {
-    o.state = JobState::Cancelled;
-  } else {
-    o.state = JobState::Interrupted;
-  }
-  return o;
-}
-
-}  // namespace
-
-const char* job_state_name(JobState s) noexcept {
-  switch (s) {
-    case JobState::Done: return "done";
-    case JobState::Failed: return "failed";
-    case JobState::Cancelled: return "cancelled";
-    case JobState::Interrupted: return "interrupted";
-  }
-  return "?";
-}
-
 bool Response::all_done() const noexcept {
   for (const JobOutcome& j : jobs)
     if (j.state != JobState::Done) return false;
@@ -351,7 +317,7 @@ void Session::resolve(JobEntry& entry, batch::JobResult result,
   for (Diagnostic& d : warnings) warnings_.push_back(std::move(d));
   if (reason != smc::StopReason::None) last_stop_reason_ = reason;
   entry.done = true;
-  entry.outcome = outcome_from(std::move(result));
+  entry.outcome = std::move(result);
   erase_inflight(entry);
   --outstanding_;
   done_cv_.notify_all();

@@ -73,25 +73,11 @@ struct SessionConfig {
   obs::Telemetry telemetry;
 };
 
-/// Final status of one job of a request.
-enum class JobState : std::uint8_t {
-  Done,         ///< report is valid (simulated or cache)
-  Failed,       ///< permanent failure; `failure` says why
-  Cancelled,    ///< every watcher hung up before completion
-  Interrupted,  ///< the service stopped (drain/deadline) before completion
-};
-
-const char* job_state_name(JobState s) noexcept;
-
-struct JobOutcome {
-  std::string label;
-  batch::CacheKey key;
-  JobState state = JobState::Interrupted;
-  bool cache_hit = false;
-  std::uint32_t retries = 0;
-  batch::JobFailure failure;  ///< valid when state == Failed
-  smc::KpiReport report;      ///< valid when state == Done
-};
+/// One job of a request resolves to the pool's own result type; these
+/// names keep the service vocabulary.
+using JobOutcome = batch::JobResult;
+using batch::JobState;
+using batch::job_state_name;
 
 /// Everything a completed request resolves to, in job submission order.
 struct Response {

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <thread>
 
+#include "util/format.hpp"
+
 namespace fmtree::fault {
 
 namespace {
@@ -47,11 +49,11 @@ double parse_number(std::string_view text, std::string_view what) {
 }
 
 std::uint64_t parse_count(std::string_view text, std::string_view what) {
-  const double v = parse_number(text, what);
-  if (v < 0 || v != static_cast<double>(static_cast<std::uint64_t>(v)))
+  const std::optional<std::uint64_t> v = fmtree::parse_count(text);
+  if (!v)
     throw DomainError("fault spec: " + std::string(what) +
                       " must be a nonnegative integer");
-  return static_cast<std::uint64_t>(v);
+  return *v;
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 #include "util/json.hpp"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace fmtree::json {
 
@@ -211,12 +211,9 @@ const Value* Value::find(std::string_view key) const noexcept {
 
 std::uint64_t Value::as_u64() const {
   if (kind != Kind::Number) throw IoError("json: expected a number");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0')
-    throw IoError("json: bad unsigned integer '" + text + "'");
-  return v;
+  const std::optional<std::uint64_t> v = parse_count(text);
+  if (!v) throw IoError("json: bad unsigned integer '" + text + "'");
+  return *v;
 }
 
 double Value::as_double() const {

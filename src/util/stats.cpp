@@ -104,39 +104,6 @@ std::uint64_t okamoto_sample_size(double eps, double confidence) {
       std::ceil(std::log(2.0 / alpha) / (2.0 * eps * eps)));
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (!(hi > lo)) throw DomainError("histogram requires hi > lo");
-  if (bins == 0) throw DomainError("histogram requires at least one bin");
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // guard fp rounding
-  ++counts_[idx];
-}
-
-std::uint64_t Histogram::bin_count(std::size_t i) const {
-  if (i >= counts_.size()) throw DomainError("histogram bin out of range");
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  if (i >= counts_.size()) throw DomainError("histogram bin out of range");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
 double quantile(std::vector<double> sample, double q) {
   if (sample.empty()) throw DomainError("quantile of empty sample");
   if (!(q >= 0 && q <= 1)) throw DomainError("quantile requires q in [0,1]");

@@ -78,7 +78,7 @@ TEST(ChaosSweep, InjectedTaskFaultHealsBitIdentically) {
   EXPECT_GE(chaos.retries, 1u);
   ASSERT_EQ(chaos.results.size(), baseline.results.size());
   for (std::size_t i = 0; i < chaos.results.size(); ++i) {
-    EXPECT_TRUE(chaos.results[i].completed);
+    EXPECT_EQ(chaos.results[i].state, JobState::Done);
     EXPECT_TRUE(same_bits(chaos.results[i].report, baseline.results[i].report));
   }
 }
@@ -93,13 +93,12 @@ TEST(ChaosSweep, ExhaustedRetriesBecomeAStructuredFailureNotACrash) {
   EXPECT_FALSE(outcome.truncated);  // failed jobs are accounted, not a stop
   std::size_t failed = 0, completed = 0;
   for (const JobResult& r : outcome.results) {
-    if (r.failed) {
+    if (r.state == JobState::Failed) {
       ++failed;
       EXPECT_EQ(r.failure.kind, "injected");
       EXPECT_TRUE(r.failure.transient);
       EXPECT_EQ(r.failure.attempts, 1u);
-      EXPECT_FALSE(r.completed);
-    } else if (r.completed) {
+    } else if (r.state == JobState::Done) {
       ++completed;  // job-level isolation: the rest of the plan finished
     }
   }
@@ -141,7 +140,7 @@ TEST(ChaosCache, CorruptedWritesAreQuarantinedOnReadAndRecomputed) {
   const SweepOutcome resumed = run_sweep(plan, &cache);
   EXPECT_EQ(resumed.cache_hits, 0u);
   for (std::size_t i = 0; i < resumed.results.size(); ++i) {
-    EXPECT_TRUE(resumed.results[i].completed);
+    EXPECT_EQ(resumed.results[i].state, JobState::Done);
     EXPECT_TRUE(
         same_bits(resumed.results[i].report, baseline.results[i].report));
   }
@@ -189,7 +188,7 @@ TEST(ChaosCache, RandomizedCrashPointsResumeBitIdentically) {
     const SweepOutcome resumed = run_sweep(plan, &cache);
     ASSERT_EQ(resumed.results.size(), baseline.results.size());
     for (std::size_t i = 0; i < resumed.results.size(); ++i) {
-      EXPECT_TRUE(resumed.results[i].completed) << "round " << round;
+      EXPECT_EQ(resumed.results[i].state, JobState::Done) << "round " << round;
       EXPECT_TRUE(
           same_bits(resumed.results[i].report, baseline.results[i].report))
           << "round " << round << " job " << i;
@@ -218,7 +217,7 @@ TEST(ChaosSweep, EiJointCostCurveSurvivesInjectedFaultsBitIdentically) {
     EXPECT_EQ(chaos.jobs_failed, 0u);
     ASSERT_EQ(chaos.results.size(), baseline.results.size());
     for (std::size_t i = 0; i < chaos.results.size(); ++i) {
-      EXPECT_TRUE(chaos.results[i].completed) << plan.jobs[i].label;
+      EXPECT_EQ(chaos.results[i].state, JobState::Done) << plan.jobs[i].label;
       EXPECT_TRUE(
           same_bits(chaos.results[i].report, baseline.results[i].report))
           << plan.jobs[i].label;

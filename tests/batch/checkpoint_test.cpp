@@ -84,7 +84,7 @@ TEST(SweepCheckpoint, WriteReadReflectsOutcomeStatus) {
 
   const SweepPlan plan = tiny_plan();
   const SweepOutcome outcome = run_sweep(plan);
-  ASSERT_TRUE(write_checkpoint(path, plan, outcome));
+  ASSERT_TRUE(write_checkpoint(path, plan, outcome.results));
   const auto cp = read_checkpoint(path);
   ASSERT_TRUE(cp.has_value());
   EXPECT_EQ(cp->plan_id, checkpoint_plan_id(plan));

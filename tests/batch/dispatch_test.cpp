@@ -65,7 +65,7 @@ TEST(ContinuousDispatch, SmallJobsOfOnePlanRunOnDistinctWorkers) {
   obs::Telemetry telemetry;
   telemetry.tracer = &tracer;
   const SweepOutcome outcome = run_sweep(plan, nullptr, telemetry);
-  for (const JobResult& r : outcome.results) EXPECT_TRUE(r.completed);
+  for (const JobResult& r : outcome.results) EXPECT_EQ(r.state, JobState::Done);
   std::set<std::uint32_t> threads;
   for (const obs::SpanRecord& span : tracer.records())
     if (span.name.rfind("job:", 0) == 0) threads.insert(span.thread);
@@ -89,7 +89,7 @@ TEST(ContinuousDispatch, AdaptiveRoundsAreBitIdenticalToAnalyze) {
         plan.chunk = chunk;
         plan.jobs.push_back(job);
         const SweepOutcome outcome = run_sweep(plan);
-        ASSERT_TRUE(outcome.results[0].completed);
+        ASSERT_EQ(outcome.results[0].state, JobState::Done);
         EXPECT_TRUE(same_bits(outcome.results[0].report, direct))
             << "engine " << static_cast<int>(engine) << ", threads " << threads
             << ", chunk " << chunk;
@@ -115,7 +115,7 @@ TEST(ContinuousDispatch, MixedAdaptiveAndFixedPlanMatchesEachJobAlone) {
     alone.threads = 1;
     alone.jobs.push_back(plan.jobs[i]);
     const SweepOutcome single = run_sweep(alone);
-    ASSERT_TRUE(mixed.results[i].completed) << plan.jobs[i].label;
+    ASSERT_EQ(mixed.results[i].state, JobState::Done) << plan.jobs[i].label;
     EXPECT_TRUE(same_bits(mixed.results[i].report, single.results[0].report))
         << plan.jobs[i].label;
     EXPECT_TRUE(same_bits(

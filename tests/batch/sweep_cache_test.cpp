@@ -59,8 +59,8 @@ TEST(SweepEngine, BitIdenticalToAnalyzeAtAnyThreadAndChunkCount) {
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
     const smc::KpiReport direct =
         smc::analyze(plan.jobs[i].model, plan.jobs[i].settings);
-    EXPECT_TRUE(serial.results[i].completed);
-    EXPECT_TRUE(pooled.results[i].completed);
+    EXPECT_EQ(serial.results[i].state, JobState::Done);
+    EXPECT_EQ(pooled.results[i].state, JobState::Done);
     EXPECT_TRUE(same_bits(serial.results[i].report, direct));
     EXPECT_TRUE(same_bits(pooled.results[i].report, direct));
   }
@@ -98,7 +98,7 @@ TEST(SweepEngine, AdaptiveJobsFallBackButStayExactAndCached) {
 
   ResultCache cache;
   const SweepOutcome cold = run_sweep(plan, &cache);
-  ASSERT_TRUE(cold.results[0].completed);
+  ASSERT_EQ(cold.results[0].state, JobState::Done);
   const smc::KpiReport direct =
       smc::analyze(plan.jobs[0].model, plan.jobs[0].settings);
   EXPECT_TRUE(same_bits(cold.results[0].report, direct));
@@ -118,7 +118,7 @@ TEST(SweepEngine, StoppedPlanReturnsIncompleteJobsAndCachesNothing) {
   const SweepOutcome outcome = run_sweep(plan, &cache);
   EXPECT_TRUE(outcome.truncated);
   EXPECT_EQ(outcome.stop_reason, smc::StopReason::Interrupted);
-  for (const JobResult& r : outcome.results) EXPECT_FALSE(r.completed);
+  for (const JobResult& r : outcome.results) EXPECT_NE(r.state, JobState::Done);
   EXPECT_EQ(cache.size(), 0u);
 }
 

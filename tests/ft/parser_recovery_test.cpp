@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ft/lexer.hpp"
+
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 
@@ -127,6 +129,29 @@ TEST(FtParserRecovery, ExpectedTokenErrorsCarryColumnAndToken) {
     EXPECT_EQ(d.token, "T");
     EXPECT_EQ(e.line(), 2u);  // the aggregate mirrors the first error's location
   }
+}
+
+TEST(FtParserRecovery, StringsKeepTheirOpeningQuotePosition) {
+  // Unterminated: the scan runs past a newline to the end of the input, and
+  // the L102 still points at the opening quote, line 2 column 10.
+  const FtParseResult r = parse_fault_tree_collect("toplevel sys;\nsys or a \"b\n");
+  ASSERT_GE(r.diagnostics.error_count(), 1u);
+  const Diagnostic& d = r.diagnostics.all().front();
+  EXPECT_EQ(d.code, "L102");
+  EXPECT_EQ(d.loc.line, 2u);
+  EXPECT_EQ(d.loc.column, 10u);
+
+  // Terminated across lines: the string token sits at its opening quote,
+  // and the token after it at its own position on the closing line.
+  Diagnostics diags;
+  const std::vector<Token> tokens = tokenize("a \"x\ny\" b", diags);
+  EXPECT_TRUE(diags.empty());
+  ASSERT_EQ(tokens.size(), 4u);  // a, "x\ny", b, end
+  EXPECT_EQ(tokens[1].text, "x\ny");
+  EXPECT_EQ(tokens[1].line, 1u);
+  EXPECT_EQ(tokens[1].column, 3u);
+  EXPECT_EQ(tokens[2].line, 2u);
+  EXPECT_EQ(tokens[2].column, 4u);
 }
 
 }  // namespace

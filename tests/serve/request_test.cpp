@@ -3,7 +3,9 @@
 // makes a served sweep cache the very same jobs as a standalone one.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "batch/fingerprint.hpp"
@@ -217,6 +219,27 @@ TEST(ServeRequest, FleetSchemaViolationsAreR112) {
                                 "policy": {"frequencies": [1, 2]}})");
             }),
             "R112");
+}
+
+// Integer fields decode exactly from the number token: a seed above 2^53
+// survives the trip (through a double, 2^53+1 became 2^53), and a value
+// outside [0, 2^64) is R112 instead of a wrapped or out-of-range cast.
+TEST(ServeRequest, IntegerFieldsDecodeExactly) {
+  for (const std::uint64_t seed :
+       {(std::uint64_t{1} << 53) + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    Request sweep = sweep_request();
+    sweep.settings.seed = seed;
+    EXPECT_EQ(parse_request(encode_request(sweep)).settings.seed, seed);
+    Request fleet = fleet_request();
+    fleet.fleet.seed = seed;
+    EXPECT_EQ(parse_request(encode_request(fleet)).fleet.seed, seed);
+  }
+  for (const std::string seed : {"18446744073709551616", "-1"}) {
+    const std::string text = R"({"schema": "fmtree.request/v1",
+                                 "model": {"ref": "x"},
+                                 "settings": {"seed": )" + seed + "}}";
+    EXPECT_EQ(expect_code([&] { parse_request(text); }), "R112") << seed;
+  }
 }
 
 TEST(ServeRequest, PrepareExpandsAFleetIntoJointLabelledJobs) {

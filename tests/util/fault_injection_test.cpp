@@ -43,6 +43,18 @@ TEST(FaultSpecGrammar, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_spec("site:error,p=0.5,nth=2"), DomainError);
 }
 
+TEST(FaultSpecGrammar, CountsDecodeExactly) {
+  // Above 2^53 a double would round the seed; outside [0, 2^64) it would wrap.
+  EXPECT_EQ(parse_fault_spec("site:error,seed=9007199254740993").seed,
+            9007199254740993ull);
+  EXPECT_EQ(parse_fault_spec("site:error,seed=18446744073709551615").seed,
+            18446744073709551615ull);
+  EXPECT_THROW(parse_fault_spec("site:error,seed=18446744073709551616"), DomainError);
+  EXPECT_THROW(parse_fault_spec("site:error,seed=-1"), DomainError);
+  EXPECT_THROW(parse_fault_spec("site:stall=1.5"), DomainError);
+  EXPECT_THROW(parse_fault_spec("site:error,limit=1e3"), DomainError);
+}
+
 TEST(FaultRegistry, DisarmedSiteIsInert) {
   // No spec armed for this site: the fast path must return false and record
   // nothing, regardless of what else is armed.

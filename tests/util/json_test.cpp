@@ -8,6 +8,8 @@
 #include <optional>
 #include <string>
 
+#include "util/error.hpp"
+
 namespace fmtree::json {
 namespace {
 
@@ -16,6 +18,13 @@ using Wrap = Writer::Wrap;
 TEST(Json, EscapeControlCharacters) {
   EXPECT_EQ(escape("a\nb\tc\\d\"e"), "a\\nb\\tc\\\\d\\\"e");
   EXPECT_EQ(escape(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(Json, AsU64DecodesWholeDecimalsExactly) {
+  EXPECT_EQ(parse("9007199254740993").as_u64(), 9007199254740993ull);
+  EXPECT_EQ(parse("18446744073709551615").as_u64(), 18446744073709551615ull);
+  for (const char* bad : {"18446744073709551616", "-1", "1.0", "1e3"})
+    EXPECT_THROW(parse(bad).as_u64(), IoError) << bad;
 }
 
 TEST(JsonWriter, SpacedLayoutPutsBlockMembersOnTheirOwnLines) {

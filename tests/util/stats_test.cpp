@@ -126,31 +126,6 @@ TEST(OkamotoSampleSize, MatchesHoeffdingWidth) {
   EXPECT_GT(ci1.half_width(), eps);
 }
 
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-0.1);  // underflow
-  h.add(0.0);
-  h.add(1.999);
-  h.add(2.0);
-  h.add(9.999);
-  h.add(10.0);  // overflow (right-open)
-  h.add(25.0);  // overflow
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_THROW(h.bin_count(5), DomainError);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1, 1, 4), DomainError);
-  EXPECT_THROW(Histogram(0, 1, 0), DomainError);
-}
-
 TEST(Quantile, KnownValues) {
   const std::vector<double> v{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
